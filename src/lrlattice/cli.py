@@ -31,6 +31,7 @@ from .lattice import (
 from .harmonic import (
     Field,
     HarmonicParameters,
+    QuadratureConvergenceError,
     QuadratureSpec,
     apply_propagator_torus,
     compute_kernel,
@@ -815,7 +816,7 @@ def main(argv=None) -> int:
     try:
         code, text = RUNNERS[args.command](scenario)
         atomic_write(scenario["output"], text)
-    except (DomainError, ValueError, ArithmeticError, OSError) as err:
+    except (DomainError, ValueError, ArithmeticError, OSError, QuadratureConvergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if code == 1:

@@ -1,12 +1,13 @@
 """Brute-force oracle on truncated multi-site Fock spaces.
 
-Everything here is a dense matrix: 1 to 3 oscillators, each truncated to
-boson numbers <= N, a periodic chain Hamiltonian, Weyl operators built as
-exact matrix exponentials, and Heisenberg / perturbed (Dyson) evolution by
-Hermitian eigendecomposition.  The point is independent ground truth for
-the exact-arithmetic Weyl algebra: commutator norms, the Weyl relation,
-perturbed dynamics, and finite-volume convergence can all be measured
-directly here and compared against the closed-form layer.
+Operators are dense matrices: 1 to 3 oscillators, each truncated to boson
+numbers <= N, a periodic chain Hamiltonian, Weyl operators built as exact
+matrix exponentials, and Heisenberg / perturbed (Dyson) evolution by
+Hermitian eigendecomposition.  The commutator oracle forms only the
+low-occupation rows and columns it measures.  The point is independent
+ground truth for the exact-arithmetic Weyl algebra: commutator norms, the
+Weyl relation, perturbed dynamics, and finite-volume convergence can all be
+measured directly here and compared against the closed-form layer.
 
 Conventions match the algebra layer: W(f) = exp(i sum_x Re f(x) q_x +
 Im f(x) p_x), H = sum_x p_x^2 + omega^2 q_x^2 + sum_x lambda (q_x -
@@ -300,12 +301,11 @@ def weyl_matrix(config: FockConfig, f: Field) -> DenseOperator:
         vacuum_columns.append(factor[:, 0])
         full = np.kron(full, factor)
 
-    occupation = np.zeros(1)
     moved = np.array([[1.0]], dtype=complex)
     for column in vacuum_columns:
-        occupation = (occupation[:, None] + np.arange(cutoff + 1)[None, :]).ravel()
         moved = np.kron(moved, column.reshape(-1, 1))
-    leakage = float(np.linalg.norm(moved.ravel()[occupation > cutoff - 5]))
+    past = _occupation_grid(config.sites, cutoff) > cutoff - 5
+    leakage = float(np.linalg.norm(moved.ravel()[past]))
     if leakage > LEAKAGE_LIMIT:
         raise TruncationLeakageError(
             f"vacuum leakage {leakage:.3e} past the cutoff exceeds {LEAKAGE_LIMIT:.0e}; "
@@ -431,29 +431,30 @@ def perturbed_evolve(
 def commutator_oracle(config: FockConfig, f: Field, g: Field, t: float) -> float:
     """Norm of [tau_t(W(f)), W(g)] measured directly on matrices.
 
-    The evolution is an elementwise phase twist in the Hamiltonian
-    eigenbasis; the commutator is then rotated back so the norm can be
-    taken on the low-occupation subspace (see :func:`restricted_norm`),
-    which is what converges to the exact-algebra value as the cutoff
-    grows.
+    The norm is taken on the low-occupation subspace K (total occupation
+    <= 8, see :func:`restricted_norm`), which is what converges to the
+    exact-algebra value as the cutoff grows.  Only the rows and columns
+    that block reads are computed.  With U = e^{itH} = V diag(phi) V^T from
+    the Hamiltonian eigenbasis and moved = U W(f) U^*,
+
+        [moved, W(g)]_KK = moved[K,:] W(g)[:,K] - W(g)[K,:] moved[:,K],
+
+    where moved[K,:] = U[K,:] W(f) U^* and moved[:,K] = U W(f) U[K,:]^*.
+    Every product carries |K| rows or columns, so after the cached ``eigh``
+    the cost is O(|K| n^2) rather than O(n^3).
     """
     evals, evecs = _hamiltonian_eigh(config)
     w_f = weyl_matrix(config, f).entries
     w_g = weyl_matrix(config, g).entries
-
-    f_tilde = evecs.T @ w_f @ evecs
-    del w_f
-    phases = np.exp(1j * float(t) * evals)
-    f_tilde *= phases[:, None]
-    f_tilde *= phases.conj()[None, :]
-    moved = evecs @ f_tilde @ evecs.T
-    del f_tilde
-
-    commutator = moved @ w_g
-    commutator -= w_g @ moved
-    del moved, w_g
     cap = min(8, config.sites * config.cutoff)
-    return restricted_norm(config, DenseOperator(commutator), occupation_cap=cap)
+    keep = np.flatnonzero(_occupation_grid(config.sites, config.cutoff) <= cap)
+
+    phases = np.exp(1j * float(t) * evals)
+    u_rows = (evecs[keep, :] * phases) @ evecs.T
+    rows = ((u_rows @ w_f) @ evecs * phases.conj()) @ evecs.T
+    columns = evecs @ (phases[:, None] * (evecs.T @ (w_f @ u_rows.conj().T)))
+    block = rows @ w_g[:, keep] - w_g[keep, :] @ columns
+    return _spectral_norm(block)
 
 
 @dataclass(frozen=True)
@@ -579,9 +580,6 @@ def diagonalization_defect(config: FockConfig) -> float:
         check += g * (2.0 * (b_k.conj().T @ b_k) + np.eye(dim))
 
     h = build_hamiltonian(config).entries
-    occupation = np.zeros(1)
-    for _ in range(n):
-        occupation = (occupation[:, None] + np.arange(cutoff + 1)[None, :]).ravel()
-    keep = occupation <= cutoff - 2
+    keep = _occupation_grid(n, cutoff) <= cutoff - 2
     defect = (h - check)[np.ix_(keep, keep)]
     return _spectral_norm(defect)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from lrlattice import QuadratureConvergenceError, cli
 from lrlattice.cli import main
 
 FAST_CONFIGS = {
@@ -230,6 +231,16 @@ class TestExitCodes:
         assert code == 2
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
+
+    def test_quadrature_failure_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
+        def unconverged(*args, **kwargs):
+            raise QuadratureConvergenceError("kernel quadrature reached 1e-3")
+
+        monkeypatch.setattr(cli, "compute_kernel", unconverged)
+        code, out = run("kernel", tmp_path)
+        assert code == 2
+        assert not out.exists()
+        assert "error: kernel quadrature reached 1e-3" in capsys.readouterr().err
 
     def test_velocity_fit_failure_is_a_runtime_error(self, tmp_path):
         # x_max 4 leaves fewer than three usable threshold crossings

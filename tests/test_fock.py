@@ -259,6 +259,38 @@ class TestCommutatorOracle:
         f = Field.delta(RING2, (0,), 0.3)
         assert commutator_oracle(config, f, f, 0.0) < 1e-13
 
+    @pytest.mark.parametrize(
+        "sites, cutoff, geometry",
+        [(2, 10, RING2), (2, 16, RING2), (1, 10, GEO)],
+    )
+    def test_matches_the_full_conjugation(self, sites, cutoff, geometry):
+        """The row/column oracle against the full n x n conjugation and commutator."""
+
+        def dense_oracle(config, f, g, t):
+            evals, evecs = np.linalg.eigh(build_hamiltonian(config).entries)
+            w_f = weyl_matrix(config, f).entries
+            w_g = weyl_matrix(config, g).entries
+            phases = np.exp(1j * t * evals)
+            twisted = (evecs.T @ w_f @ evecs) * phases[:, None] * phases.conj()[None, :]
+            moved = evecs @ twisted @ evecs.T
+            commutator = DenseOperator(moved @ w_g - w_g @ moved)
+            cap = min(8, config.sites * config.cutoff)
+            return restricted_norm(config, commutator, occupation_cap=cap)
+
+        params = CHAIN if sites > 1 else DECOUPLED
+        config = FockConfig(sites, cutoff, params)
+        last = sites - 1
+        labels = [
+            Field.delta(geometry, (0,), 0.15),
+            Field.delta(geometry, (last,), -0.1 + 0.12j),
+            Field.delta(geometry, (0,), 0.1 - 0.08j) + Field.delta(geometry, (last,), 0.12j),
+        ]
+        for f in labels:
+            for g in labels:
+                for t in (0.0, 0.4, 1.3):
+                    expected = dense_oracle(config, f, g, t)
+                    assert commutator_oracle(config, f, g, t) == pytest.approx(expected, abs=1e-13)
+
 
 class TestPerturbationMatrix:
     def test_exactly_hermitian(self):
