@@ -156,7 +156,7 @@ class ScenarioError(Exception):
 
 _NINE_TIMES = tuple(i * 0.25 for i in range(9))
 
-# Per-command schema: key -> (kind, default).  Kinds: int, float, bool, str,
+# Per-command schema: key -> (kind, default).  Kinds: int, float, bool,
 # opt_float, float_list, int_list, labels (list of {x, re, im} atoms),
 # site_list, opt_str.
 SCHEMAS = {
@@ -311,10 +311,6 @@ def _check_value(key, kind, value, errors):
         if isinstance(value, bool):
             return value
         errors.append(f"{key}: expected true/false, got {value!r}")
-    elif kind == "str":
-        if isinstance(value, str):
-            return value
-        errors.append(f"{key}: expected a string, got {value!r}")
     elif kind == "opt_str":
         if value is None or isinstance(value, str):
             return value
@@ -764,21 +760,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
-    pairs = {
-        "output": args.output,
-        "format": args.format,
-        "seed": args.seed,
-        "d": args.d,
-        "omega": args.omega,
-        "lambda": args.lambda_,
-        "t": args.t,
-        "window": args.window,
-        "theta": args.theta,
-        "a": args.a,
-        "x_max": args.x_max,
-        "sites": args.sites,
+    """Schema key -> value for every flag given; ``--lambda`` is stored as ``lambda_``."""
+    return {
+        "lambda" if k == "lambda_" else k: v
+        for k, v in vars(args).items()
+        if k not in ("command", "config") and v is not None
     }
-    return {k: v for k, v in pairs.items() if v is not None}
 
 
 def main(argv=None) -> int:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .harmonic import Field, HarmonicParameters, SingularModeError
+from .harmonic import Field, HarmonicParameters, SingularModeError, gamma
 from .lattice import DecayProfile, DomainError, GeometryMismatchError, LatticeGeometry
 from .perturbations import PerturbationFamily
 
@@ -171,11 +171,12 @@ def restricted_norm(config: FockConfig, operator: DenseOperator, occupation_cap:
     return _spectral_norm(operator.entries[np.ix_(keep, keep)])
 
 
-def _ladder(cutoff: int) -> np.ndarray:
+def _site_matrices(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Single-site ladder a, position q = (a + a^T)/sqrt 2, momentum p = -i(a - a^T)/sqrt 2."""
     a = np.zeros((cutoff + 1, cutoff + 1))
     for i in range(cutoff):
         a[i, i + 1] = math.sqrt(i + 1.0)
-    return a
+    return a, (a + a.T) / math.sqrt(2.0), (a - a.T) * (-1j / math.sqrt(2.0))
 
 
 def _embed(factor: np.ndarray, site: int, sites: int, cutoff: int) -> np.ndarray:
@@ -197,9 +198,7 @@ class SiteOperators:
 
 def build_site_operators(config: FockConfig) -> tuple[SiteOperators, ...]:
     """Embedded position, momentum, and ladder matrices for every site."""
-    a = _ladder(config.cutoff)
-    q_site = (a + a.T) / math.sqrt(2.0)
-    p_site = (a - a.T) * (-1j / math.sqrt(2.0))
+    a, q_site, p_site = _site_matrices(config.cutoff)
     out = []
     for site in range(config.sites):
         out.append(
@@ -222,8 +221,7 @@ def build_hamiltonian(config: FockConfig) -> DenseOperator:
     """
     n, cutoff = config.sites, config.cutoff
     omega, lam = config.params.omega, config.params.couplings[0]
-    a = _ladder(cutoff)
-    q_site = (a + a.T) / math.sqrt(2.0)
+    a, q_site, _ = _site_matrices(cutoff)
     # p^2 = -(a - a^T)^2 / 2 stays real; the antisymmetric factor squares
     # to an exactly symmetric matrix.
     anti = a - a.T
@@ -285,9 +283,7 @@ def weyl_matrix(config: FockConfig, f: Field) -> DenseOperator:
     """
     amplitudes = _site_amplitudes(config, f)
     cutoff = config.cutoff
-    a = _ladder(cutoff)
-    q_site = (a + a.T) / math.sqrt(2.0)
-    p_site = (a - a.T) * (-1j / math.sqrt(2.0))
+    _, q_site, p_site = _site_matrices(cutoff)
 
     full = np.array([[1.0]], dtype=complex)
     vacuum_columns = []
@@ -344,18 +340,10 @@ def perturbation_matrix(config: FockConfig, family: PerturbationFamily) -> Dense
             if all(value == 0 for value in z):
                 total += weight * np.eye(config.dimension)
                 continue
-            entries = {site: value for site, value in zip(measure.sites, z)}
-            field = _field_from_entries(geometry, entries)
+            field = Field(geometry, dict(zip(measure.sites, z)))
             w_matrix = weyl_matrix(config, field).entries
             total += weight * (w_matrix + w_matrix.conj().T)
     return DenseOperator(total)
-
-
-def _field_from_entries(geometry: LatticeGeometry, entries: dict) -> Field:
-    field = Field.zero(geometry)
-    for site, value in entries.items():
-        field = field + Field.delta(geometry, site, value)
-    return field
 
 
 @lru_cache(maxsize=4)
@@ -531,7 +519,7 @@ def volume_compare(
         raise DomainError("observable must live on the small volume")
 
     extra = config_large.sites - config_small.sites
-    pad = np.eye((config_small.cutoff + 1) ** extra) if extra else np.array([[1.0]])
+    pad = np.eye((config_small.cutoff + 1) ** extra)
     embedded = DenseOperator(np.kron(operator.entries, pad))
 
     small_sites = [(s,) for s in range(config_small.sites)]
@@ -567,9 +555,7 @@ def diagonalization_defect(config: FockConfig) -> float:
     check = np.zeros((dim, dim), dtype=complex)
     for j in range(n):
         k = 2.0 * math.pi * j / n
-        g = math.sqrt(
-            config.params.omega**2 + 4.0 * config.params.couplings[0] * math.sin(k / 2.0) ** 2
-        )
+        g = gamma(config.params, (k,))
         q_k = np.zeros((dim, dim), dtype=complex)
         p_k = np.zeros((dim, dim), dtype=complex)
         for x in range(n):

@@ -32,6 +32,7 @@ from .lattice import (
     Site,
     ball_sites,
     ordered_sum,
+    shell_count,
     site_sort_key,
 )
 
@@ -350,9 +351,6 @@ class Kernel:
             object.__setattr__(self, "_site_index", cached)
         return cached
 
-    def l1_norm(self) -> float:
-        return ordered_sum(abs(float(v)) for v in self.samples)
-
     def radii(self) -> np.ndarray:
         return np.array([sum(abs(c) for c in s) for s in self.sites], dtype=np.int64)
 
@@ -436,16 +434,8 @@ def compute_kernel(
         achieved = float(np.max(np.abs(cur - prev)))
         prev = cur
         if achieved <= quad.refinement_tolerance:
-            return Kernel(
-                m=m,
-                t=float(t),
-                window_radius=window_radius,
-                sites=sites,
-                samples=cur,
-                points_per_axis=points,
-                est_quadrature_error=achieved,
-            )
-    best = Kernel(
+            break
+    kernel = Kernel(
         m=m,
         t=float(t),
         window_radius=window_radius,
@@ -454,10 +444,12 @@ def compute_kernel(
         points_per_axis=points,
         est_quadrature_error=achieved,
     )
+    if achieved <= quad.refinement_tolerance:
+        return kernel
     raise QuadratureConvergenceError(
         f"kernel quadrature reached {achieved:.3e} at {points} points per axis, "
         f"tolerance is {quad.refinement_tolerance:.3e}",
-        best=best,
+        best=kernel,
         achieved=achieved,
     )
 
@@ -502,8 +494,6 @@ def kernel_envelope(params: HarmonicParameters, m: int, mu: float, radius, t: fl
 
 def _exp_shell_tail(dimension: int, mu: float, window: int) -> float:
     """Upper bound on sum_{r > window} shell_count(d, r) exp(-mu r)."""
-    from .lattice import shell_count
-
     total = 0.0
     r = window + 1
     term = shell_count(dimension, r) * math.exp(-mu * r)

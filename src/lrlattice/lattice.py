@@ -28,8 +28,6 @@ __all__ = [
     "DecayProfile",
     "UniformNorm",
     "ConvolutionConstant",
-    "distance",
-    "decay_value",
     "uniform_norm",
     "convolution_constant",
     "shell_count",
@@ -126,6 +124,7 @@ class LatticeGeometry:
         return tuple((int(c) - L - 1) % (2 * L) - L + 1 for c in x)
 
     def distance(self, x, y) -> int:
+        """l1 distance between two sites (quotient metric on a torus)."""
         x = self.site(x)
         y = self.site(y)
         if self.half_side is None:
@@ -146,11 +145,6 @@ class LatticeGeometry:
         pts = [tuple(c - L + 1 for c in p) for p in coords]
         pts.sort(key=site_sort_key)
         return iter(pts)
-
-
-def distance(geometry: LatticeGeometry, x, y) -> int:
-    """l1 distance between two sites (quotient metric on a torus)."""
-    return geometry.distance(x, y)
 
 
 def site_sort_key(x: Site):
@@ -221,10 +215,6 @@ class DecayProfile:
 
     def with_rate(self, rate: float) -> "DecayProfile":
         return DecayProfile(self.dimension, self.epsilon, rate)
-
-
-def decay_value(profile: DecayProfile, r) -> float:
-    return profile.value(r)
 
 
 class UniformNorm(NamedTuple):

@@ -28,6 +28,7 @@ from .harmonic import (
     Field,
     HarmonicParameters,
     ZeroModeError,
+    _torus_gamma,
     apply_propagator_convolution,
     apply_propagator_torus,
     symplectic_form,
@@ -125,14 +126,6 @@ class QuasiFreeState:
             raise GeometryMismatchError("state geometry and parameters disagree on dimension")
 
 
-def _dispersion_grid(state: QuasiFreeState) -> np.ndarray:
-    from .harmonic import _gamma_grid
-
-    n = state.geometry.extent
-    axis = 2.0 * np.pi * np.fft.fftfreq(n)
-    return _gamma_grid(state.params, [axis] * state.params.dimension)
-
-
 def smeared_norm_sq(state: QuasiFreeState, f: Field, zero_convention: bool = False) -> float:
     """The quadratic form ||(U* - V*) f||^2 driving the Gaussian weight.
 
@@ -148,7 +141,7 @@ def smeared_norm_sq(state: QuasiFreeState, f: Field, zero_convention: bool = Fal
     if f.is_zero():
         return 0.0
     dense = f.to_dense()
-    gam = _dispersion_grid(state)
+    gam = _torus_gamma(state.params, state.geometry)
     u_hat = np.fft.fftn(dense.real)
     v_hat = np.fft.fftn(dense.imag)
     total_sites = dense.size

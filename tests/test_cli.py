@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lrlattice
 from lrlattice import QuadratureConvergenceError, cli
-from lrlattice.cli import main
+from lrlattice.cli import _flag_overrides, build_parser, main
 
 FAST_CONFIGS = {
     "kernel": {"t": [0.5], "window": 6},
@@ -149,6 +151,34 @@ class TestPrecedence:
         code = main(["kernel", "--t", "0.5", "--window", "4"])
         assert code == 0
         assert (tmp_path / "kernel.csv").exists()
+
+
+class TestFlagOverrides:
+    @pytest.mark.parametrize(
+        "flag, text, key, value",
+        [
+            ("--output", "r.json", "output", "r.json"),
+            ("--format", "json", "format", "json"),
+            ("--seed", "7", "seed", 7),
+            ("--d", "2", "d", 2),
+            ("--omega", "0.5", "omega", 0.5),
+            ("--lambda", "1,0.5", "lambda", [1.0, 0.5]),
+            ("--t", "0.25,0.75", "t", [0.25, 0.75]),
+            ("--window", "12", "window", 12),
+            ("--theta", "0.2", "theta", 0.2),
+            ("--a", "1.5", "a", 1.5),
+            ("--x-max", "9", "x_max", 9),
+            ("--sites", "3", "sites", 3),
+        ],
+    )
+    def test_each_flag_yields_its_schema_key(self, flag, text, key, value):
+        args = build_parser().parse_args(["kernel", flag, text])
+        assert _flag_overrides(args) == {key: value}
+        assert key in cli._COMMON or any(key in schema for schema in cli.SCHEMAS.values())
+
+    def test_command_and_config_are_not_overrides(self):
+        args = build_parser().parse_args(["kernel", "--config", "c.json"])
+        assert _flag_overrides(args) == {}
 
 
 class TestValidation:
@@ -313,6 +343,11 @@ class TestModuleEntry:
     def test_python_dash_m_invocation(self, tmp_path):
         config = write_config(tmp_path, "kernel")
         out = tmp_path / "module.csv"
+        # The child interpreter imports the same package as this process,
+        # installed or not.
+        src = str(Path(lrlattice.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [
                 sys.executable,
@@ -326,6 +361,16 @@ class TestModuleEntry:
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert out.exists()
+
+
+class TestVersion:
+    def test_package_version_matches_pyproject(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        lines = [
+            line for line in pyproject.read_text().splitlines() if line.startswith("version = ")
+        ]
+        assert lines == [f'version = "{lrlattice.__version__}"']

@@ -17,8 +17,6 @@ from lrlattice import (
     LatticeGeometry,
     ball_sites,
     convolution_constant,
-    decay_value,
-    distance,
     ordered_sum,
     shell_count,
     site_sort_key,
@@ -65,10 +63,6 @@ class TestLatticeGeometry:
         assert len(set(pts)) == 36
         radii = [sum(abs(c) for c in p) for p in pts]
         assert radii == sorted(radii)
-
-    def test_distance_module_function_matches_method(self):
-        geo = LatticeGeometry.infinite(2)
-        assert distance(geo, (0, 0), (3, -4)) == geo.distance((0, 0), (3, -4))
 
     def test_invalid_constructions(self):
         with pytest.raises(DomainError):
@@ -129,7 +123,6 @@ class TestDecayProfile:
         r = 3
         expected = math.exp(-1.5 * r) * (1.0 + r) ** (-2.5)
         assert profile.value(r) == pytest.approx(expected, rel=1e-15)
-        assert decay_value(profile, r) == profile.value(r)
 
     def test_vectorized_matches_scalar(self):
         profile = DecayProfile(dimension=1, epsilon=1.0, rate=0.7)
