@@ -5,201 +5,27 @@ lattices, Weyl-algebra commutator norms in closed form, quasi-free state
 functionals, decay-envelope certificates with derived velocity bounds,
 anharmonic perturbation moments and volume-convergence tails, and a dense
 truncated-Fock-space oracle that cross-checks all of it on 1 to 3 sites.
+
+Each public name is declared once, in its module's ``__all__``; the package
+re-exports the union of those lists.
 """
 
-from .bounds import (
-    RATIO_FLOOR,
-    ConeScan,
-    DecayCertificate,
-    KernelBoundReport,
-    VelocityFit,
-    cone_scan,
-    derive_constants,
-    estimate_velocity,
-    harmonic_bound_rhs,
-    pair_sum,
-    spot_check_certificate,
-    verify_kernel_bounds,
-)
-from .fock import (
-    BoundedInteraction,
-    DenseOperator,
-    FockConfig,
-    SiteOperators,
-    TruncationLeakageError,
-    build_hamiltonian,
-    build_site_operators,
-    commutator_oracle,
-    diagonalization_defect,
-    hamiltonian_spectrum,
-    heisenberg_evolve,
-    interaction_from_family,
-    interaction_norm_a,
-    perturbation_matrix,
-    perturbed_evolve,
-    restricted_norm,
-    volume_compare,
-    weyl_matrix,
-)
-from .harmonic import (
-    MU_GRID,
-    Field,
-    HarmonicParameters,
-    Kernel,
-    QuadratureConvergenceError,
-    QuadratureSpec,
-    SingularModeError,
-    WindowCertificationError,
-    ZeroModeError,
-    apply_propagator_convolution,
-    apply_propagator_torus,
-    bogoliubov_multipliers,
-    certified_window,
-    compute_kernel,
-    envelope_prefactor,
-    envelope_speed,
-    gamma,
-    kernel_envelope,
-    symplectic_form,
-)
-from .lattice import (
-    ConvolutionConstant,
-    DecayProfile,
-    DomainError,
-    GeometryMismatchError,
-    LatticeGeometry,
-    UniformNorm,
-    ball_sites,
-    convolution_constant,
-    ordered_sum,
-    shell_count,
-    site_sort_key,
-    uniform_norm,
-)
-from .perturbations import (
-    AtomicWeylMeasure,
-    MeasureParityError,
-    PairMoment,
-    PerturbationFamily,
-    VolumeSequence,
-    convergence_tail,
-    convergence_tail_sets,
-    cosine_family,
-    empirical_a1,
-    first_moment,
-    load_family,
-    pair_moment,
-    perturbed_bound,
-    save_family,
-    second_moment,
-)
-from .weyl import (
-    QuasiFreeState,
-    WeylOperator,
-    adjoint,
-    commutator_norm,
-    free_evolve,
-    multiply,
-    smeared_norm_sq,
-    state_eval,
-    three_point,
-    three_point_continuity,
-)
+from . import bounds, fock, harmonic, lattice, perturbations, weyl
+from .bounds import *
+from .fock import *
+from .harmonic import *
+from .lattice import *
+from .perturbations import *
+from .weyl import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # lattice
-    "DomainError",
-    "GeometryMismatchError",
-    "LatticeGeometry",
-    "DecayProfile",
-    "UniformNorm",
-    "ConvolutionConstant",
-    "ball_sites",
-    "shell_count",
-    "ordered_sum",
-    "site_sort_key",
-    "uniform_norm",
-    "convolution_constant",
-    # harmonic
-    "HarmonicParameters",
-    "Field",
-    "Kernel",
-    "QuadratureSpec",
-    "MU_GRID",
-    "SingularModeError",
-    "ZeroModeError",
-    "QuadratureConvergenceError",
-    "WindowCertificationError",
-    "gamma",
-    "bogoliubov_multipliers",
-    "symplectic_form",
-    "compute_kernel",
-    "kernel_envelope",
-    "envelope_speed",
-    "envelope_prefactor",
-    "certified_window",
-    "apply_propagator_torus",
-    "apply_propagator_convolution",
-    # weyl
-    "WeylOperator",
-    "QuasiFreeState",
-    "multiply",
-    "adjoint",
-    "free_evolve",
-    "commutator_norm",
-    "smeared_norm_sq",
-    "state_eval",
-    "three_point",
-    "three_point_continuity",
-    # bounds
-    "RATIO_FLOOR",
-    "DecayCertificate",
-    "KernelBoundReport",
-    "VelocityFit",
-    "ConeScan",
-    "verify_kernel_bounds",
-    "derive_constants",
-    "pair_sum",
-    "harmonic_bound_rhs",
-    "cone_scan",
-    "estimate_velocity",
-    "spot_check_certificate",
-    # perturbations
-    "MeasureParityError",
-    "AtomicWeylMeasure",
-    "PerturbationFamily",
-    "VolumeSequence",
-    "PairMoment",
-    "second_moment",
-    "pair_moment",
-    "first_moment",
-    "perturbed_bound",
-    "convergence_tail",
-    "convergence_tail_sets",
-    "load_family",
-    "save_family",
-    "cosine_family",
-    "empirical_a1",
-    # fock
-    "TruncationLeakageError",
-    "FockConfig",
-    "DenseOperator",
-    "SiteOperators",
-    "build_site_operators",
-    "build_hamiltonian",
-    "hamiltonian_spectrum",
-    "weyl_matrix",
-    "heisenberg_evolve",
-    "perturbation_matrix",
-    "perturbed_evolve",
-    "commutator_oracle",
-    "restricted_norm",
-    "BoundedInteraction",
-    "interaction_from_family",
-    "interaction_norm_a",
-    "volume_compare",
-    "diagonalization_defect",
+    *lattice.__all__,
+    *harmonic.__all__,
+    *weyl.__all__,
+    *bounds.__all__,
+    *perturbations.__all__,
+    *fock.__all__,
 ]

@@ -46,6 +46,7 @@ from .lattice import (
 )
 
 __all__ = [
+    "RATIO_FLOOR",
     "DecayCertificate",
     "ConeScan",
     "KernelBoundReport",
@@ -71,8 +72,8 @@ class DecayCertificate:
 
     ``a0`` is the ceiling on the exponential rate a under the default
     envelope-rate policy (mu drawn from MU_GRID); ``a1`` is the analogous
-    ceiling for perturbation pair moments, a modelling hypothesis reported
-    by the perturbations module rather than derived.
+    ceiling for perturbation pair moments, a modelling hypothesis supplied
+    by the caller (default a0) rather than derived.
     """
 
     a: float

@@ -54,6 +54,8 @@ from .bounds import (
 from .perturbations import (
     PerturbationFamily,
     VolumeSequence,
+    _is_int,
+    _is_number,
     convergence_tail,
     cosine_family,
     first_moment,
@@ -259,8 +261,13 @@ DEFAULT_FORMAT = {
 }
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _site_value(x) -> list | None:
+    """``[c, ...]`` for an int or a non-empty list of ints, else None."""
+    if _is_int(x):
+        return [x]
+    if isinstance(x, list) and x and all(_is_int(c) for c in x):
+        return list(x)
+    return None
 
 
 def _check_labels(key, value, errors) -> list | None:
@@ -279,10 +286,8 @@ def _check_labels(key, value, errors) -> list | None:
         if "x" not in atom:
             errors.append(f"{key}: label atom missing site coordinate x")
             return None
-        x = atom["x"]
-        if isinstance(x, int):
-            x = [x]
-        if not (isinstance(x, list) and x and all(isinstance(c, int) for c in x)):
+        x = _site_value(atom["x"])
+        if x is None:
             errors.append(f"{key}: atom site must be an int or list of ints")
             return None
         re_part = atom.get("re", 0.0)
@@ -290,13 +295,13 @@ def _check_labels(key, value, errors) -> list | None:
         if not (_is_number(re_part) and _is_number(im_part)):
             errors.append(f"{key}: atom re/im must be numbers")
             return None
-        out.append({"x": list(x), "re": float(re_part), "im": float(im_part)})
+        out.append({"x": x, "re": float(re_part), "im": float(im_part)})
     return out
 
 
 def _check_value(key, kind, value, errors):
     if kind == "int":
-        if isinstance(value, int) and not isinstance(value, bool):
+        if _is_int(value):
             return value
         errors.append(f"{key}: expected an integer, got {value!r}")
     elif kind == "float":
@@ -320,28 +325,15 @@ def _check_value(key, kind, value, errors):
             return [float(v) for v in value]
         errors.append(f"{key}: expected a non-empty list of numbers, got {value!r}")
     elif kind == "int_list":
-        if (
-            isinstance(value, list)
-            and value
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-        ):
+        if isinstance(value, list) and value and all(_is_int(v) for v in value):
             return list(value)
         errors.append(f"{key}: expected a non-empty list of integers, got {value!r}")
     elif kind == "labels":
         return _check_labels(key, value, errors)
     elif kind == "site_list":
-        if isinstance(value, list) and value:
-            out = []
-            ok = True
-            for s in value:
-                if isinstance(s, int):
-                    out.append([s])
-                elif isinstance(s, list) and s and all(isinstance(c, int) for c in s):
-                    out.append(list(s))
-                else:
-                    ok = False
-            if ok:
-                return out
+        sites = [_site_value(x) for x in value] if isinstance(value, list) else []
+        if sites and None not in sites:
+            return sites
         errors.append(f"{key}: expected a non-empty list of sites, got {value!r}")
     else:
         raise AssertionError(f"unhandled kind {kind}")
@@ -450,7 +442,12 @@ def _echo_config(scenario: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command runners.  Each returns (exit_code, report_text).
+# Command runners.  Each returns (violated, csv_header, csv_rows, json_body);
+# ``main`` renders the report in the requested format.
+
+
+def _records(header, rows) -> list:
+    return [dict(zip(header, row)) for row in rows]
 
 
 def _run_kernel(s: dict):
@@ -470,13 +467,7 @@ def _run_kernel(s: dict):
                     (m, t, *site, float(value), kernel.est_quadrature_error)
                 )
     header = ["m", "t", *[f"x_{i + 1}" for i in range(d)], "value", "est_error"]
-    if s["format"] == "csv":
-        return 0, csv_report(header, rows)
-    report = {
-        "config": _echo_config(s),
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    return 0, json_report(report)
+    return False, header, rows, {"rows": _records(header, rows)}
 
 
 def _run_cone(s: dict):
@@ -506,18 +497,14 @@ def _run_cone(s: dict):
                 }
     violated = worst["ratio"] > 1.0
     header = ["t", *[f"x_{i + 1}" for i in range(s["d"])], "value"]
-    if s["format"] == "csv":
-        return (1 if violated else 0), csv_report(header, rows)
-    report = {
-        "config": _echo_config(s),
+    return violated, header, rows, {
         "velocity": fit.v_emp,
         "fit_residual": fit.fit_residual,
         "certificate": cert.as_report(),
         "bound_satisfied": not violated,
         "worst_point": worst,
-        "rows": [dict(zip(header, row)) for row in rows],
+        "rows": _records(header, rows),
     }
-    return (1 if violated else 0), json_report(report)
 
 
 def _run_bounds(s: dict):
@@ -548,18 +535,15 @@ def _run_bounds(s: dict):
             seed=s["seed"],
         )
     violated = max_ratio > 1.0 + 1e-9 or (spot is not None and spot > 1.0)
-    if s["format"] == "csv":
-        return (1 if violated else 0), csv_report(["mu", "max_ratio"], rows)
-    report = {
-        "config": _echo_config(s),
+    header = ["mu", "max_ratio"]
+    return violated, header, rows, {
         "max_ratio": max_ratio,
         "worst_point": worst,
-        "per_mu": [{"mu": mu, "max_ratio": r} for mu, r in rows],
+        "per_mu": _records(header, rows),
         "certificate": cert.as_report(),
         "spot_check_ratio": spot,
         "bound_satisfied": not violated,
     }
-    return (1 if violated else 0), json_report(report)
 
 
 def _run_state(s: dict):
@@ -590,20 +574,15 @@ def _run_state(s: dict):
     values, modulus = three_point_continuity(state, g1, f, g2, t_grid)
 
     violated = worst_err > s["invariance_tol"]
-    if s["format"] == "csv":
-        rows = [
-            (t, v.real, v.imag) for t, v in zip(t_grid, values)
-        ]
-        return (1 if violated else 0), csv_report(["t", "re", "im"], rows)
-    report = {
-        "config": _echo_config(s),
+    rows = [(t, v.real, v.imag) for t, v in zip(t_grid, values)]
+    return violated, ["t", "re", "im"], rows, {
         "gaussian_value": {"re": base.real, "im": base.imag},
         "invariance": {
             "worst_error": worst_err,
             "worst_t": worst_t,
             "tolerance": s["invariance_tol"],
             "satisfied": not violated,
-            "rows": [{"t": t, "error": e} for t, e in invariance],
+            "rows": _records(["t", "error"], invariance),
         },
         "continuity": {
             "t": t_grid,
@@ -611,7 +590,6 @@ def _run_state(s: dict):
             "modulus": modulus,
         },
     }
-    return (1 if violated else 0), json_report(report)
 
 
 def _load_converge_family(s: dict, geometry: LatticeGeometry) -> PerturbationFamily:
@@ -652,11 +630,8 @@ def _run_converge(s: dict):
         )
         tails.append((s["boxes"][i], s["boxes"][i + 1], tail))
     monotone = all(b[2] < a[2] for a, b in zip(tails, tails[1:]))
-    violated = not monotone
-    if s["format"] == "csv":
-        return (1 if violated else 0), csv_report(["inner_box", "outer_box", "tail"], tails)
-    report = {
-        "config": _echo_config(s),
+    header = ["inner_box", "outer_box", "tail"]
+    return not monotone, header, tails, {
         "moments": {
             "first": moment,
             "pair": pair_report,
@@ -664,12 +639,9 @@ def _run_converge(s: dict):
             "convolution_converged": conv.converged,
         },
         "certificate": cert.as_report(),
-        "tails": [
-            {"inner_box": a, "outer_box": b, "tail": v} for a, b, v in tails
-        ],
+        "tails": _records(header, tails),
         "monotone": monotone,
     }
-    return (1 if violated else 0), json_report(report)
 
 
 def _run_fock_verify(s: dict):
@@ -693,23 +665,16 @@ def _run_fock_verify(s: dict):
     final_value = study[-1][1]
     error = study[-1][2]
     violated = error > s["rel_tol"]
-    if s["format"] == "csv":
-        return (1 if violated else 0), csv_report(
-            ["cutoff", "value", "relative_error"], study
-        )
-    report = {
-        "config": _echo_config(s),
+    header = ["cutoff", "value", "relative_error"]
+    return violated, header, study, {
         "quantity": "commutator_norm",
         "value": final_value,
         "reference": exact,
         "error_estimate": error,
         "tolerance": s["rel_tol"],
         "satisfied": not violated,
-        "cutoff_study": [
-            {"cutoff": c, "value": v, "relative_error": e} for c, v, e in study
-        ],
+        "cutoff_study": _records(header, study),
     }
-    return (1 if violated else 0), json_report(report)
 
 
 RUNNERS = {
@@ -801,14 +766,19 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        code, text = RUNNERS[args.command](scenario)
+        violated, header, rows, body = RUNNERS[args.command](scenario)
+        if scenario["format"] == "csv":
+            text = csv_report(header, rows)
+        else:
+            text = json_report({"config": _echo_config(scenario), **body})
         atomic_write(scenario["output"], text)
     except (DomainError, ValueError, ArithmeticError, OSError, QuadratureConvergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if code == 1:
+    if violated:
         print("bound violation: see the report for the worst point", file=sys.stderr)
-    return code
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .harmonic import Field, HarmonicParameters, SingularModeError, gamma
-from .lattice import DecayProfile, DomainError, GeometryMismatchError, LatticeGeometry
+from .lattice import DomainError, GeometryMismatchError, LatticeGeometry
 from .perturbations import PerturbationFamily
 
 __all__ = [
@@ -41,9 +41,6 @@ __all__ = [
     "perturbation_matrix",
     "perturbed_evolve",
     "commutator_oracle",
-    "BoundedInteraction",
-    "interaction_from_family",
-    "interaction_norm_a",
     "volume_compare",
     "diagonalization_defect",
 ]
@@ -443,56 +440,6 @@ def commutator_oracle(config: FockConfig, f: Field, g: Field, t: float) -> float
     columns = evecs @ (phases[:, None] * (evecs.T @ (w_f @ u_rows.conj().T)))
     block = rows @ w_g[:, keep] - w_g[keep, :] @ columns
     return _spectral_norm(block)
-
-
-@dataclass(frozen=True)
-class BoundedInteraction:
-    """Finite map from site subsets to self-adjoint matrix terms."""
-
-    geometry: LatticeGeometry
-    terms: tuple
-
-    def __post_init__(self):
-        seen = []
-        for sites, operator in self.terms:
-            sites = tuple(self.geometry.site(s) for s in sites)
-            if len(set(sites)) != len(sites):
-                raise DomainError("interaction term sites must be distinct")
-            if operator.hermiticity_defect() > 1e-12 * max(1.0, operator.norm()):
-                raise DomainError(f"interaction term on {sites} is not self-adjoint")
-            seen.append((sites, operator))
-        object.__setattr__(self, "terms", tuple(seen))
-
-
-def interaction_from_family(config: FockConfig, family: PerturbationFamily) -> BoundedInteraction:
-    """Materialize each measure as one self-adjoint matrix term."""
-    terms = []
-    for measure in family.measures:
-        single = PerturbationFamily(family.geometry, measure.sites, (measure,))
-        terms.append((measure.sites, perturbation_matrix(config, single)))
-    return BoundedInteraction(family.geometry, tuple(terms))
-
-
-def interaction_norm_a(
-    interaction: BoundedInteraction, profile: DecayProfile, geometry: LatticeGeometry
-) -> float:
-    """Decay-weighted interaction norm: sup over site pairs of the term sum.
-
-    For each pair (x, y), sums the matrix norms of all terms whose support
-    contains both, divided by the decay weight at their distance.
-    """
-    if profile.dimension != geometry.dimension:
-        raise GeometryMismatchError("profile dimension does not match the geometry")
-    norms = [(sites, term.norm()) for sites, term in interaction.terms]
-    best = 0.0
-    all_sites = sorted({s for sites, _ in norms for s in sites})
-    for x in all_sites:
-        for y in all_sites:
-            total = math.fsum(n for sites, n in norms if x in sites and y in sites)
-            if total == 0.0:
-                continue
-            best = max(best, total / profile.value(geometry.distance(x, y)))
-    return best
 
 
 def volume_compare(

@@ -49,7 +49,6 @@ __all__ = [
     "load_family",
     "save_family",
     "cosine_family",
-    "empirical_a1",
 ]
 
 
@@ -359,8 +358,8 @@ def convergence_tail_sets(
     onsite: bool = False,
 ) -> float:
     """Same tail bound between two explicit site sets (inner inside outer)."""
-    inner = {tuple(int(c) for c in s) if not isinstance(s, int) else (s,) for s in inner_sites}
-    outer = {tuple(int(c) for c in s) if not isinstance(s, int) else (s,) for s in outer_sites}
+    inner = set(map(f.geometry.site, inner_sites))
+    outer = set(map(f.geometry.site, outer_sites))
     if not inner <= outer:
         raise DomainError("inner sites must be contained in the outer sites")
     if not set(f.support()) <= inner:
@@ -386,12 +385,22 @@ def cosine_family(geometry: LatticeGeometry, sites, z: complex, weight: float = 
     return PerturbationFamily(geometry, sites, measures)
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; booleans are not coordinates."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """A JSON number; booleans and numeric strings are not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _site_from_json(raw, dimension: int):
-    if isinstance(raw, int):
+    if _is_int(raw):
         if dimension != 1:
             raise DomainError(f"site {raw} must be a list of {dimension} coordinates")
         return (raw,)
-    if isinstance(raw, list) and all(isinstance(c, int) for c in raw):
+    if isinstance(raw, list) and all(_is_int(c) for c in raw):
         return tuple(raw)
     raise DomainError(f"malformed site entry: {raw!r}")
 
@@ -434,9 +443,11 @@ def load_family(source, geometry: LatticeGeometry) -> PerturbationFamily:
                 raise DomainError(f"atom {j} of measure {i} needs one z entry per site")
             vec = []
             for pair in zs:
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    raise DomainError(f"z entries of measure {i} must be [re, im] pairs")
+                if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
+                    raise DomainError(f"z entries of measure {i} must be [re, im] number pairs")
                 vec.append(complex(float(pair[0]), float(pair[1])))
+            if not _is_number(atom["weight"]):
+                raise DomainError(f"weight of atom {j} of measure {i} must be a number")
             atoms.append((tuple(vec), float(atom["weight"])))
         measures.append(AtomicWeylMeasure(sites=sites, atoms=tuple(atoms)))
         volume.update(measures[-1].sites)
@@ -458,24 +469,3 @@ def save_family(family: PerturbationFamily, path: str):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def empirical_a1(
-    family: PerturbationFamily,
-    window: int,
-    epsilon: float = 1.0,
-    a_grid=(0.25, 0.5, 1.0, 2.0, 4.0),
-) -> float:
-    """Largest tested rate at which the windowed pair moment stabilizes.
-
-    This is a reported diagnostic, not a derivation: the pair-moment decay
-    hypothesis is a property of the model that can only be spot-checked on
-    finite windows.
-    """
-    best = 0.0
-    for a in sorted(a_grid):
-        profile = DecayProfile(family.geometry.dimension, epsilon=epsilon, rate=float(a))
-        result = pair_moment(family, profile, window)
-        if result.converged and a > best:
-            best = float(a)
-    return best

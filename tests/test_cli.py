@@ -218,6 +218,22 @@ class TestValidation:
         assert main(["kernel", "--config", str(config)]) == 2
         assert "expected an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x", [True, [True], [0, False]])
+    def test_bool_does_not_pass_as_label_site(self, x, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"f": [{"x": x, "re": 0.1}]}))
+        assert main(["state", "--config", str(config), "--output", str(tmp_path / "o")]) == 2
+        assert "atom site must be an int or list of ints" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sites", [[True], [[0], [False]], [[1, True]]])
+    def test_bool_does_not_pass_as_site_list_entry(self, sites, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"cosine_sites": sites}))
+        assert main(["converge", "--config", str(config), "--output", str(tmp_path / "o")]) == 2
+        assert "cosine_sites: expected a non-empty list of sites" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_labels(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"f": [{"x": [0], "re": 0.1, "weird": 2}]}))

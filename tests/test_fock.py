@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from lrlattice import (
-    BoundedInteraction,
-    DecayProfile,
     DenseOperator,
     DomainError,
     Field,
@@ -30,8 +28,6 @@ from lrlattice import (
     diagonalization_defect,
     hamiltonian_spectrum,
     heisenberg_evolve,
-    interaction_from_family,
-    interaction_norm_a,
     perturbation_matrix,
     perturbed_evolve,
     restricted_norm,
@@ -389,49 +385,6 @@ class TestVolumeCompare:
             volume_compare(small, FockConfig(3, 10, DECOUPLED), None, op, (0.5,))
         with pytest.raises(DomainError):
             volume_compare(small, large, None, DenseOperator.identity(4), (0.5,))
-
-
-class TestBoundedInteraction:
-    def test_terms_mirror_the_family(self):
-        config = FockConfig(2, 10, CHAIN)
-        family = cosine_family(GEO, [(0,), (1,)], z=0.2, weight=0.5)
-        interaction = interaction_from_family(config, family)
-        assert len(interaction.terms) == 2
-        for sites, term in interaction.terms:
-            assert len(sites) == 1
-            assert term.hermiticity_defect() == 0.0
-            assert term.norm() <= 1.0 + 1e-12
-
-    def test_norm_a_identity_term_hand_value(self):
-        from lrlattice import AtomicWeylMeasure
-
-        config = FockConfig(1, 8, CHAIN)
-        measure = AtomicWeylMeasure(sites=((0,),), atoms=(((0j,), 0.7),))
-        family = PerturbationFamily(GEO, ((0,),), (measure,))
-        interaction = interaction_from_family(config, family)
-        profile = DecayProfile(1, epsilon=1.0)
-        assert interaction_norm_a(interaction, profile, GEO) == pytest.approx(0.7)
-
-    def test_norm_a_peaks_on_the_widest_pair(self):
-        config = FockConfig(2, 12, CHAIN)
-        from lrlattice import AtomicWeylMeasure
-
-        measure = AtomicWeylMeasure(sites=((0,), (1,)), atoms=(((0.1, 0.1), 1.0),))
-        family = PerturbationFamily(GEO, ((0,), (1,)), (measure,))
-        interaction = interaction_from_family(config, family)
-        profile = DecayProfile(1, epsilon=1.0)
-        term_norm = interaction.terms[0][1].norm()
-        assert interaction_norm_a(interaction, profile, GEO) == pytest.approx(4.0 * term_norm)
-
-    def test_rejects_non_self_adjoint_terms(self):
-        raising = DenseOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(DomainError):
-            BoundedInteraction(GEO, ((((0,),), raising),))
-
-    def test_rejects_duplicate_sites(self):
-        eye = DenseOperator.identity(2)
-        with pytest.raises(DomainError):
-            BoundedInteraction(GEO, ((((0,), (0,)), eye),))
 
 
 class TestDiagonalizationDefect:

@@ -1,0 +1,71 @@
+"""Package namespace: every public name is declared once, in its module."""
+
+import itertools
+
+import lrlattice
+from lrlattice import bounds, fock, harmonic, lattice, perturbations, weyl
+
+MODULES = (lattice, harmonic, weyl, bounds, perturbations, fock)
+
+PUBLIC_NAMES = {
+    "__version__",
+    # lattice
+    "DomainError", "GeometryMismatchError", "LatticeGeometry", "DecayProfile",
+    "UniformNorm", "ConvolutionConstant", "ball_sites", "shell_count", "ordered_sum",
+    "site_sort_key", "uniform_norm", "convolution_constant",
+    # harmonic
+    "HarmonicParameters", "Field", "Kernel", "QuadratureSpec", "MU_GRID",
+    "SingularModeError", "ZeroModeError", "QuadratureConvergenceError",
+    "WindowCertificationError", "gamma", "bogoliubov_multipliers", "symplectic_form",
+    "compute_kernel", "kernel_envelope", "envelope_speed", "envelope_prefactor",
+    "certified_window", "apply_propagator_torus", "apply_propagator_convolution",
+    # weyl
+    "WeylOperator", "QuasiFreeState", "multiply", "adjoint", "free_evolve",
+    "commutator_norm", "smeared_norm_sq", "state_eval", "three_point",
+    "three_point_continuity",
+    # bounds
+    "RATIO_FLOOR", "DecayCertificate", "KernelBoundReport", "VelocityFit", "ConeScan",
+    "verify_kernel_bounds", "derive_constants", "pair_sum", "harmonic_bound_rhs",
+    "cone_scan", "estimate_velocity", "spot_check_certificate",
+    # perturbations
+    "MeasureParityError", "AtomicWeylMeasure", "PerturbationFamily", "VolumeSequence",
+    "PairMoment", "second_moment", "pair_moment", "first_moment", "perturbed_bound",
+    "convergence_tail", "convergence_tail_sets", "load_family", "save_family",
+    "cosine_family",
+    # fock
+    "TruncationLeakageError", "FockConfig", "DenseOperator", "SiteOperators",
+    "build_site_operators", "build_hamiltonian", "hamiltonian_spectrum", "weyl_matrix",
+    "heisenberg_evolve", "perturbation_matrix", "perturbed_evolve", "commutator_oracle",
+    "restricted_norm", "volume_compare", "diagonalization_defect",
+}
+
+
+def test_no_name_is_declared_by_two_modules():
+    # a star import would let the later module silently shadow the earlier one
+    for a, b in itertools.combinations(MODULES, 2):
+        assert not set(a.__all__) & set(b.__all__), (a.__name__, b.__name__)
+
+
+def test_each_module_list_names_only_its_own_definitions():
+    for module in MODULES:
+        assert len(module.__all__) == len(set(module.__all__)), module.__name__
+        for name in module.__all__:
+            value = getattr(module, name)
+            owner = getattr(value, "__module__", module.__name__)
+            assert owner == module.__name__, (module.__name__, name)
+
+
+def test_star_import_exports_exactly_the_union_of_module_lists():
+    namespace: dict = {}
+    exec("from lrlattice import *", namespace)
+    exported = set(namespace) - {"__builtins__"}
+    union = {"__version__"}.union(*(m.__all__ for m in MODULES))
+    assert exported == union == set(lrlattice.__all__)
+    assert len(lrlattice.__all__) == len(union)
+    for name in union - {"__version__"}:
+        owner = next(m for m in MODULES if name in m.__all__)
+        assert getattr(lrlattice, name) is getattr(owner, name)
+
+
+def test_public_names_are_the_documented_set():
+    assert set(lrlattice.__all__) == PUBLIC_NAMES

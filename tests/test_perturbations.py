@@ -19,7 +19,6 @@ from lrlattice import (
     convergence_tail_sets,
     cosine_family,
     derive_constants,
-    empirical_a1,
     first_moment,
     harmonic_bound_rhs,
     load_family,
@@ -149,13 +148,6 @@ class TestMomentConstants:
         with pytest.raises(GeometryMismatchError):
             pair_moment(family, DecayProfile(2, epsilon=1.0), window=4)
 
-    def test_empirical_rate_ceiling_for_on_site_families(self):
-        geo = LatticeGeometry.infinite(1)
-        family = cosine_family(geo, [(0,), (1,), (2,)], z=0.2)
-        # on-site pair moments sit at distance zero, so every tested rate
-        # stabilizes and the largest grid entry is returned
-        assert empirical_a1(family, window=8) == 4.0
-
 
 class TestFamilyContainers:
     def test_volume_must_cover_measures(self):
@@ -225,6 +217,12 @@ class TestJsonRoundTrip:
             [{"sites": [0], "atoms": [{"z": [[0.1, 0.0], [0.1, 0.0]], "weight": 1.0}]}],
             [{"sites": [0.5], "atoms": [{"z": [[0.1, 0.0]], "weight": 1.0}]}],
             [{"sites": [0], "atoms": [{"z": [[0.1]], "weight": 1.0}]}],
+            [{"sites": [True], "atoms": [{"z": [[0.1, 0.0]], "weight": 1.0}]}],
+            [{"sites": [[False]], "atoms": [{"z": [[0.1, 0.0]], "weight": 1.0}]}],
+            [{"sites": [0], "atoms": [{"z": [["0.2", 0.0]], "weight": 1.0}]}],
+            [{"sites": [0], "atoms": [{"z": [[0.2, True]], "weight": 1.0}]}],
+            [{"sites": [0], "atoms": [{"z": [[0.2, 0.0]], "weight": "2"}]}],
+            [{"sites": [0], "atoms": [{"z": [[0.2, 0.0]], "weight": True}]}],
         ],
     )
     def test_malformed_inputs_rejected(self, data):
@@ -367,3 +365,10 @@ class TestConvergenceTail:
             convergence_tail_sets(
                 f, [(1,)], [(0,), (1,)], 0.3, 0.4, cert, 0.08, 2.0, profile
             )
+
+    def test_explicit_sets_reject_sites_of_the_wrong_dimension(self):
+        cert, profile = chain_cert()
+        f = Field.delta(LatticeGeometry.infinite(1), (0,))
+        # (3, 4) is not a site of Z^1; read as a tuple it would sit at distance 7
+        with pytest.raises(DomainError):
+            convergence_tail_sets(f, [0], [0, (3, 4)], 0.3, 0.4, cert, 0.08, 2.0, profile)
