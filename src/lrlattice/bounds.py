@@ -41,6 +41,7 @@ from .lattice import (
     DomainError,
     GeometryMismatchError,
     LatticeGeometry,
+    _ball_array,
     ball_sites,
     ordered_sum,
 )
@@ -292,19 +293,21 @@ def cone_scan(
     d = params.dimension
     geometry = LatticeGeometry.infinite(d, window_radius=x_max)
     sites = ball_sites(d, x_max)
+    probes = _ball_array(d, x_max)
     t_grid = tuple(float(t) for t in t_grid)
 
     def one_slice(t: float) -> np.ndarray:
         moved = apply_propagator_convolution(
             Field.delta(geometry, (0,) * d), params, t, tolerance=tolerance
         )
-        row = np.empty(len(sites))
-        for j, x in enumerate(sites):
-            val = moved.value(x)
-            against_real = abs(1.0 - np.exp(-1.0j * val.imag))
-            against_imag = abs(1.0 - np.exp(1.0j * val.real))
-            row[j] = max(against_real, against_imag)
-        return row
+        val = moved._values_at(probes)
+        against_real = 1.0 - np.exp(-1.0j * val.imag)
+        against_imag = 1.0 - np.exp(1.0j * val.real)
+        # np.hypot rounds like the scalar abs(); np.abs on complex arrays does not.
+        return np.maximum(
+            np.hypot(against_real.real, against_real.imag),
+            np.hypot(against_imag.real, against_imag.imag),
+        )
 
     rows = thread_map(one_slice, t_grid)
     return ConeScan(

@@ -148,7 +148,7 @@ def atomic_write(path: str, text: str):
 # Scenario schema and validation.
 
 
-class ScenarioError(Exception):
+class ScenarioError(DomainError):
     """All validation problems with a config, collected in one go."""
 
     def __init__(self, messages):
@@ -243,6 +243,9 @@ SCHEMAS = {
         "rel_tol": ("float", 1e-3),
     },
 }
+
+# Smallest meaningful value of a tolerance or count.
+_LEAST = {"invariance_tol": 0.0, "rel_tol": 0.0, "spot_trials": 0, "continuity_points": 2}
 
 _COMMON = {
     "command": ("opt_str", None),
@@ -370,6 +373,11 @@ def parse_scenario(command: str, file_config: dict, overrides: dict) -> dict:
             merged[key] = _check_value(key, kind, file_config[key], errors)
         else:
             merged[key] = default
+
+    for key, least in _LEAST.items():
+        value = merged.get(key)
+        if value is not None and value < least:
+            errors.append(f"{key}: must be at least {least}, got {value!r}")
 
     declared = merged.get("command")
     if declared is not None and declared != command:

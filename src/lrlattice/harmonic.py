@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -29,10 +30,12 @@ from .lattice import (
     GeometryMismatchError,
     LatticeGeometry,
     Site,
+    _ball_array,
+    _site_keys,
+    _torus_sites,
     ball_sites,
     ordered_sum,
     shell_count,
-    site_sort_key,
 )
 
 __all__ = [
@@ -162,14 +165,18 @@ class Field:
     """Finitely supported complex label on a lattice geometry.
 
     The real part of a field plays the role of a position test function and
-    the imaginary part of a momentum test function.  Entries exactly equal
-    to zero are dropped so supports stay finite and comparisons clean.
+    the imaginary part of a momentum test function.  A field stores its
+    support as an int64 site array of shape (k, d) in the canonical
+    (l1 shell, lexicographic) order of ``site_sort_key``, next to a
+    complex128 array of the k values.  Entries exactly equal to zero are
+    dropped, so supports stay finite and comparisons clean, and no value
+    carries a negative zero.  Duplicate sites in a mapping passed to the
+    constructor accumulate in the mapping's order.
     """
 
-    __slots__ = ("geometry", "_entries")
+    __slots__ = ("geometry", "_sites", "_values")
 
     def __init__(self, geometry: LatticeGeometry, entries: Mapping[Site, complex] | None = None):
-        self.geometry = geometry
         data: dict[Site, complex] = {}
         if entries:
             for site, val in entries.items():
@@ -179,7 +186,24 @@ class Field:
                     data[site] = data.get(site, 0.0) + val
                     if data[site] == 0:
                         del data[site]
-        self._entries = data
+        sites = np.array(list(data), dtype=np.int64).reshape(len(data), geometry.dimension)
+        values = np.array(list(data.values()), dtype=complex)
+        if len(data) > 1:
+            order = np.argsort(_site_keys(sites), kind="stable")
+            sites, values = sites[order], values[order]
+        self.geometry, self._sites, self._values = geometry, sites, values
+
+    @classmethod
+    def _from_arrays(cls, geometry: LatticeGeometry, sites: np.ndarray, values) -> "Field":
+        """Field on valid, distinct sites in canonical order; exact zeros are dropped."""
+        # Adding 0.0 turns negative zeros positive, as the scalar constructor does.
+        values = np.asarray(values, dtype=complex) + 0.0
+        keep = values != 0
+        if not keep.all():
+            sites, values = sites[keep], values[keep]
+        field = cls.__new__(cls)
+        field.geometry, field._sites, field._values = geometry, sites, values
+        return field
 
     @classmethod
     def zero(cls, geometry: LatticeGeometry) -> "Field":
@@ -196,100 +220,125 @@ class Field:
         n = geometry.extent
         if dense.shape != (n,) * geometry.dimension:
             raise DomainError(f"dense array must have shape {(n,) * geometry.dimension}")
-        L = geometry.half_side
-        entries = {}
-        for idx in np.ndindex(*dense.shape):
-            val = complex(dense[idx])
-            if val != 0:
-                # Array index i in [0, 2L) stands for coordinate i when
-                # i <= L and for i - 2L otherwise, keeping sites in (-L, L].
-                site = tuple(i if i <= L else i - n for i in idx)
-                entries[site] = val
-        return cls(geometry, entries)
+        # Coordinate c in (-L, L] sits at array index c mod 2L, so index i
+        # stands for coordinate i when i <= L and for i - 2L otherwise.
+        sites = _torus_sites(geometry.dimension, geometry.half_side)
+        return cls._from_arrays(geometry, sites, dense[tuple((sites % n).T)])
 
     def to_dense(self) -> np.ndarray:
         if not self.geometry.is_torus:
             raise GeometryMismatchError("only torus fields have a dense representation")
         n = self.geometry.extent
         out = np.zeros((n,) * self.geometry.dimension, dtype=complex)
-        for site, val in self._entries.items():
-            out[tuple(c % n for c in site)] = val
+        out[tuple((self._sites % n).T)] = self._values
         return out
 
     @property
     def entries(self) -> dict[Site, complex]:
-        return dict(self._entries)
+        return dict(self.items_sorted())
 
     def value(self, site) -> complex:
-        return self._entries.get(self.geometry.site(site), 0.0 + 0.0j)
+        return complex(self._values_at(np.array([self.geometry.site(site)]))[0])
+
+    def _values_at(self, sites: np.ndarray) -> np.ndarray:
+        """Values at the rows of a site array, zero off the support."""
+        union, mine, at = _union_rows(self._sites, sites)
+        values = np.zeros(len(union), dtype=complex)
+        values[mine] = self._values
+        return values[at]
 
     def support(self) -> tuple[Site, ...]:
-        return tuple(sorted(self._entries, key=site_sort_key))
+        return tuple(map(tuple, self._sites.tolist()))
 
     def items_sorted(self):
-        for site in self.support():
-            yield site, self._entries[site]
+        return zip(self.support(), self._values.tolist())
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return len(self._values) == 0
 
     def support_radius(self) -> int:
-        if not self._entries:
-            return 0
-        return max(sum(abs(c) for c in site) for site in self._entries)
+        return int(np.abs(self._sites).sum(axis=1).max(initial=0))
 
-    def _check_same_geometry(self, other: "Field"):
+    def _aligned(self, other: "Field"):
+        """The union of both supports, with each field's values on it (zero off support)."""
         if self.geometry != other.geometry:
             raise GeometryMismatchError("fields live on different geometries")
+        sites, mine, theirs = _union_rows(self._sites, other._sites)
+        f = np.zeros(len(sites), dtype=complex)
+        g = np.zeros(len(sites), dtype=complex)
+        f[mine] = self._values
+        g[theirs] = other._values
+        return sites, f, g
 
     def __add__(self, other: "Field") -> "Field":
-        self._check_same_geometry(other)
-        merged = dict(self._entries)
-        for site, val in other._entries.items():
-            merged[site] = merged.get(site, 0.0) + val
-        return Field(self.geometry, merged)
+        sites, f, g = self._aligned(other)
+        return Field._from_arrays(self.geometry, sites, f + g)
 
     def __sub__(self, other: "Field") -> "Field":
         return self + (-other)
 
     def __neg__(self) -> "Field":
-        return Field(self.geometry, {s: -v for s, v in self._entries.items()})
+        return Field._from_arrays(self.geometry, self._sites, -self._values)
 
     def __mul__(self, scalar: complex) -> "Field":
-        return Field(self.geometry, {s: scalar * v for s, v in self._entries.items()})
+        # Python's scalar * value, written out in real parts: numpy's complex
+        # multiply fuses the products and rounds differently.
+        s = complex(scalar)
+        re, im = self._values.real, self._values.imag
+        product = np.empty_like(self._values)
+        product.real = s.real * re - s.imag * im
+        product.imag = s.real * im + s.imag * re
+        return Field._from_arrays(self.geometry, self._sites, product)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Field":
-        return Field(self.geometry, {s: v.conjugate() for s, v in self._entries.items()})
+        return Field._from_arrays(self.geometry, self._sites, self._values.conj())
+
+    def _moduli(self) -> list[float]:
+        # np.hypot rounds like Python's abs(complex); np.abs on complex
+        # arrays does not.
+        return np.hypot(self._values.real, self._values.imag).tolist()
 
     def norm_l1(self) -> float:
-        return ordered_sum(abs(v) for _, v in self.items_sorted())
+        return ordered_sum(self._moduli())
 
     def norm_l2(self) -> float:
-        return math.sqrt(ordered_sum(abs(v) ** 2 for _, v in self.items_sorted()))
+        return math.sqrt(ordered_sum(m**2 for m in self._moduli()))
 
     def inner(self, other: "Field") -> complex:
-        """Inner product, antilinear in self."""
-        self._check_same_geometry(other)
-        small, big = self._entries, other._entries
-        if len(big) < len(small):
-            return sum(big[s].conjugate() * small[s] for s in big if s in small).conjugate()
-        return sum(small[s].conjugate() * big[s] for s in small if s in big)
+        """Inner product, antilinear in self; each part is an exactly rounded sum."""
+        _, f, g = self._aligned(other)
+        both = (f != 0) & (g != 0)
+        fr, fi, gr, gi = f.real[both], f.imag[both], g.real[both], g.imag[both]
+        # Python's f.conjugate() * g per site, in real parts as in __mul__.
+        return complex(
+            ordered_sum((fr * gr + fi * gi).tolist()), ordered_sum((fr * gi - fi * gr).tolist())
+        )
 
     def max_abs_diff(self, other: "Field") -> float:
-        self._check_same_geometry(other)
-        sites = set(self._entries) | set(other._entries)
-        if not sites:
-            return 0.0
-        return max(abs(self._entries.get(s, 0.0) - other._entries.get(s, 0.0)) for s in sites)
+        _, f, g = self._aligned(other)
+        diff = f - g
+        return float(np.hypot(diff.real, diff.imag).max(initial=0.0))
 
     def mean_real(self) -> float:
-        return float(ordered_sum(v.real for _, v in self.items_sorted()))
+        return float(ordered_sum(self._values.real.tolist()))
 
     def __repr__(self):
-        n = len(self._entries)
+        n = len(self._values)
         return f"Field(dim={self.geometry.dimension}, support={n})"
+
+
+def _union_rows(a_sites, b_sites):
+    """Canonical union of two site arrays, and the union row of each input row."""
+    both = np.concatenate([a_sites, b_sites])
+    keys = _site_keys(both)
+    # A stable sort merges the two already sorted runs in linear time.
+    order = np.argsort(keys, kind="stable")
+    first = np.diff(keys[order], prepend=-1) != 0
+    rows = np.empty(len(keys), dtype=np.intp)
+    rows[order] = np.cumsum(first) - 1
+    return both[order[first]], rows[: len(a_sites)], rows[len(a_sites):]
 
 
 def symplectic_form(f: Field, g: Field) -> float:
@@ -411,7 +460,7 @@ def compute_kernel(
     quad = quad or QuadratureSpec()
     d = params.dimension
     sites = ball_sites(d, window_radius)
-    sites_arr = np.asarray(sites, dtype=np.int64).reshape(len(sites), d)
+    sites_arr = _ball_array(d, window_radius)
 
     # Keep the full tensor grid under ~16M nodes so refinement cannot
     # exhaust memory; the cap is generous for d <= 2 and modest for d = 3.
@@ -491,6 +540,7 @@ def kernel_envelope(params: HarmonicParameters, m: int, mu: float, radius, t: fl
     return out
 
 
+@lru_cache(maxsize=4096)
 def _exp_shell_tail(dimension: int, mu: float, window: int) -> float:
     """Upper bound on sum_{r > window} shell_count(d, r) exp(-mu r)."""
     total = 0.0
@@ -657,9 +707,9 @@ def apply_propagator_torus(field: Field, params: HarmonicParameters, t: float) -
 
 
 def _assemble_kernel_box(kernel: Kernel, radius: int) -> np.ndarray:
-    box = np.zeros((2 * radius + 1,) * len(kernel.sites[0]), dtype=float)
-    idx = np.asarray(kernel.sites, dtype=np.int64) + radius
-    box[tuple(idx[:, j] for j in range(idx.shape[1]))] = kernel.samples
+    d = len(kernel.sites[0])
+    box = np.zeros((2 * radius + 1,) * d, dtype=float)
+    box[tuple((_ball_array(d, radius) + radius).T)] = kernel.samples
     return box
 
 
@@ -730,10 +780,5 @@ def apply_propagator_convolution(
         out += val * ker_a[sl]
         out += val.conjugate() * ker_b[sl]
 
-    entries = {}
-    for site in ball_sites(d, out_radius):
-        idx = tuple(c + out_radius for c in site)
-        v = complex(out[idx])
-        if v != 0:
-            entries[site] = v
-    return Field(geometry, entries)
+    sites = _ball_array(d, out_radius)
+    return Field._from_arrays(geometry, sites, out[tuple((sites + out_radius).T)])

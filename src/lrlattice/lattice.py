@@ -140,17 +140,53 @@ class LatticeGeometry:
         """All torus sites, ordered by (l1 radius, lexicographic)."""
         if self.half_side is None:
             raise DomainError("site enumeration is only defined for torus geometries")
-        L = self.half_side
-        coords = [tuple(r) for r in np.ndindex(*(2 * L,) * self.dimension)]
-        pts = [tuple(c - L + 1 for c in p) for p in coords]
-        pts.sort(key=site_sort_key)
-        return iter(pts)
+        return iter(map(tuple, _torus_sites(self.dimension, self.half_side).tolist()))
 
 
 def site_sort_key(x: Site):
     return (sum(abs(c) for c in x), x)
 
 
+def _site_keys(sites: np.ndarray) -> np.ndarray:
+    """int64 keys that order the rows of an (n, d) site array as ``site_sort_key`` does.
+
+    The l1 radius and the coordinates are packed into one mixed-radix
+    integer; coordinates too large to pack are ranked by a lexicographic
+    sort instead.  Equal rows get equal keys.
+    """
+    d = sites.shape[1]
+    radii = np.abs(sites).sum(axis=1)
+    bound = int(np.abs(sites).max(initial=0))
+    radix = 2 * bound + 1
+    if (d * bound + 1) * radix**d < 2**63:
+        keys = radii
+        for j in range(d):
+            keys = keys * radix + (sites[:, j] + bound)
+        return keys
+    order = np.lexsort((*sites.T[::-1], radii))
+    ordered = sites[order]
+    keys = np.empty(len(sites), dtype=np.int64)
+    keys[order] = np.cumsum(np.any(np.diff(ordered, axis=0, prepend=ordered[:1]) != 0, axis=1))
+    return keys
+
+
+def _sorted_cube(dimension: int, lo: int, hi: int) -> np.ndarray:
+    """All sites of [lo, hi]^d as an (n, d) array, ordered as ``site_sort_key`` does."""
+    axis = np.arange(lo, hi + 1)
+    cube = np.stack(np.meshgrid(*(axis,) * dimension, indexing="ij"), axis=-1)
+    cube = cube.reshape(-1, dimension)
+    return cube[np.argsort(_site_keys(cube), kind="stable")]
+
+
+@lru_cache(maxsize=8)
+def _torus_sites(dimension: int, half_side: int) -> np.ndarray:
+    """Read-only array of the torus sites (-L, L]^d, in :meth:`LatticeGeometry.sites` order."""
+    sites = _sorted_cube(dimension, 1 - half_side, half_side)
+    sites.flags.writeable = False
+    return sites
+
+
+@lru_cache(maxsize=1 << 16)
 def shell_count(dimension: int, radius: int) -> int:
     """Number of points of Z^d at exact l1 distance ``radius`` from 0."""
     if dimension < 1:
@@ -168,16 +204,18 @@ def shell_count(dimension: int, radius: int) -> int:
 @lru_cache(maxsize=32)
 def ball_sites(dimension: int, radius: int) -> tuple[Site, ...]:
     """Sites of the l1 ball of given radius, in (shell, lexicographic) order."""
+    return tuple(map(tuple, _ball_array(dimension, radius).tolist()))
+
+
+@lru_cache(maxsize=32)
+def _ball_array(dimension: int, radius: int) -> np.ndarray:
+    """Read-only array of :func:`ball_sites`, in the same order."""
     if radius < 0:
         raise DomainError("radius must be nonnegative")
-    rng = range(-radius, radius + 1)
-    pts = []
-    for p in np.ndindex(*(2 * radius + 1,) * dimension):
-        q = tuple(c - radius for c in p)
-        if sum(abs(c) for c in q) <= radius:
-            pts.append(q)
-    pts.sort(key=site_sort_key)
-    return tuple(pts)
+    cube = _sorted_cube(dimension, -radius, radius)
+    sites = cube[np.abs(cube).sum(axis=1) <= radius]
+    sites.flags.writeable = False
+    return sites
 
 
 @dataclass(frozen=True)
@@ -261,32 +299,26 @@ class ConvolutionConstant(NamedTuple):
     worst_separation: Site
 
 
-def _canonical_separations(dimension: int, window: int) -> list[Site]:
-    # Lattice symmetries (sign flips, axis permutations) leave the
-    # convolution sum invariant, so separations with sorted nonnegative
-    # coordinates cover every case.
-    out = []
-    for s in ball_sites(dimension, window):
-        if all(c >= 0 for c in s) and all(s[j] >= s[j + 1] for j in range(dimension - 1)):
-            out.append(s)
-    return out
-
-
 def _convolution_value(profile: DecayProfile, window: int) -> tuple[float, Site]:
     d = profile.dimension
-    pts = np.asarray(ball_sites(d, 2 * window), dtype=np.int64)
+    pts = _ball_array(d, 2 * window)
     radii = np.abs(pts).sum(axis=1)
     table = profile.value(np.arange(3 * window + 1, dtype=float))
     fz = table[radii]
     best = -math.inf
     best_sep: Site = (0,) * d
-    for s in _canonical_separations(d, window):
+    # Lattice symmetries (sign flips, axis permutations) leave the
+    # convolution sum invariant, so separations with sorted nonnegative
+    # coordinates cover every case.
+    seps = _ball_array(d, window)
+    seps = seps[(seps >= 0).all(axis=1) & (seps[:, :-1] >= seps[:, 1:]).all(axis=1)]
+    for s in seps.tolist():
         dist = np.abs(pts - np.asarray(s, dtype=np.int64)).sum(axis=1)
         terms = fz * table[dist]
         ratio = ordered_sum(terms.tolist()) / table[sum(abs(c) for c in s)]
         if ratio > best:
             best = ratio
-            best_sep = s
+            best_sep = tuple(s)
     return best, best_sep
 
 

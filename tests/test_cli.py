@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import lrlattice
-from lrlattice import QuadratureConvergenceError, cli
+from lrlattice import DomainError, QuadratureConvergenceError, cli
 from lrlattice.cli import _flag_overrides, build_parser, main
 
 FAST_CONFIGS = {
@@ -257,6 +257,26 @@ class TestValidation:
         config.write_text(json.dumps({"cutoffs": [20, 20]}))
         assert main(["fock-verify", "--config", str(config)]) == 2
         assert "strictly increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("state", "invariance_tol", -1.0),
+            ("fock-verify", "rel_tol", -1.0),
+            ("bounds", "spot_trials", -3),
+            ("state", "continuity_points", 1),
+            ("state", "continuity_points", 0),
+        ],
+    )
+    def test_meaningless_tolerances_and_counts(self, command, key, value, tmp_path, capsys):
+        code, out = run(command, tmp_path, extra={key: value})
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"config error: {key}: must be at least")
+
+    def test_scenario_errors_are_domain_errors(self):
+        with pytest.raises(DomainError, match="rel_tol"):
+            cli.parse_scenario("fock-verify", {"rel_tol": -1.0}, {})
 
 
 class TestExitCodes:

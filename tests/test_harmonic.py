@@ -36,6 +36,7 @@ from lrlattice import (
     kernel_envelope,
     symplectic_form,
 )
+from lrlattice.harmonic import MU_GRID, _truncation_tail
 
 CHAIN = HarmonicParameters(omega=1.0, couplings=(1.0,))
 MASSLESS = HarmonicParameters(omega=0.0, couplings=(1.0,))
@@ -277,6 +278,82 @@ class TestCertifiedWindow:
         with pytest.raises(WindowCertificationError) as info:
             certified_window(CHAIN, 50.0, 1e-10, max_window=64)
         assert info.value.minimal_window == 65
+
+
+# A scalar copy of the envelope tail and the window search, without caches;
+# the library's memoized versions must reproduce it bit for bit.
+def _reference_shell_count(d, r):
+    if r == 0:
+        return 1
+    return sum(2**k * math.comb(d, k) * math.comb(r - 1, k - 1) for k in range(1, min(d, r) + 1))
+
+
+def _reference_exp_shell_tail(d, mu, window):
+    total = 0.0
+    r = window + 1
+    term = _reference_shell_count(d, r) * math.exp(-mu * r)
+    while term > 0.0:
+        total += term
+        nxt = _reference_shell_count(d, r + 1) * math.exp(-mu * (r + 1))
+        ratio = nxt / term
+        if ratio < 1.0 and nxt < 1e-18 * max(total, 1e-300):
+            total += nxt / (1.0 - ratio)
+            break
+        r += 1
+        term = nxt
+    return total
+
+
+def _reference_truncation_tail(params, t, window, mu):
+    c = params.max_frequency
+    coef = 1.0 + 1.0 / c + c * math.exp(mu / 2.0)
+    grow = mu * envelope_speed(params, mu) * abs(t)
+    if grow > 700:
+        return math.inf
+    return coef * math.exp(grow) * _reference_exp_shell_tail(params.dimension, mu, window)
+
+
+def _reference_certified_window(params, t, tolerance, l1_norm, max_window=4096):
+    budget = tolerance / max(l1_norm, 1e-300)
+    best = None
+    for mu in MU_GRID:
+        if _reference_truncation_tail(params, t, max_window, mu) > budget:
+            continue
+        lo, hi = 0, max_window
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _reference_truncation_tail(params, t, mid, mu) <= budget:
+                hi = mid
+            else:
+                lo = mid + 1
+        if best is None or lo < best:
+            best = lo
+    return best
+
+
+PINNED_PARAMS = [
+    HarmonicParameters(omega=omega, couplings=couplings)
+    for couplings in ((1.0,), (0.5, 1.5), (1.0, 0.25, 2.0))
+    for omega in (1.0, 0.3, 0.0)
+]
+
+
+class TestPinnedWindow:
+    @pytest.mark.parametrize("params", PINNED_PARAMS)
+    def test_truncation_tail_is_bit_identical(self, params):
+        for mu in MU_GRID:
+            for t in (0.0, 0.7, 2.5):
+                for window in (0, 1, 7, 40, 300, 2048, 4096):
+                    expected = _reference_truncation_tail(params, t, window, mu)
+                    assert _truncation_tail(params, t, window, mu) == expected
+
+    @pytest.mark.parametrize("params", PINNED_PARAMS)
+    def test_certified_window_is_identical(self, params):
+        for t in (0.0, 0.7, 2.5):
+            for tolerance in (1e-4, 1e-10):
+                for l1 in (1.0, 12.5):
+                    expected = _reference_certified_window(params, t, tolerance, l1)
+                    assert certified_window(params, t, tolerance, l1) == expected
 
 
 class TestDecoupledClosedForm:

@@ -111,6 +111,34 @@ class TestShellsAndBalls:
             shell_count(1, -1)
 
 
+def _box_enumeration(dimension, side, shift, keep=lambda q: True):
+    # The scalar reference: every point of the box, filtered and sorted by key.
+    pts = []
+    for p in np.ndindex(*(side,) * dimension):
+        q = tuple(c - shift for c in p)
+        if keep(q):
+            pts.append(q)
+    pts.sort(key=site_sort_key)
+    return tuple(pts)
+
+
+class TestPinnedEnumerations:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ball_sites_match_the_scalar_enumeration(self, d):
+        for r in range(9):
+            expected = _box_enumeration(
+                d, 2 * r + 1, r, lambda q: sum(abs(c) for c in q) <= r
+            )
+            assert ball_sites(d, r) == expected
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_torus_sites_match_the_scalar_enumeration(self, d):
+        for half_side in range(1, 6):
+            geo = LatticeGeometry.torus(d, half_side)
+            expected = _box_enumeration(d, 2 * half_side, half_side - 1)
+            assert tuple(geo.sites()) == expected
+
+
 class TestDecayProfile:
     def test_hand_values(self):
         profile = DecayProfile(dimension=1, epsilon=1.0, rate=0.0)
