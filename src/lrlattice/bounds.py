@@ -15,13 +15,14 @@ the certified one.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from ._parallel import thread_map
 from .harmonic import (
     MU_GRID,
     Field,
@@ -290,11 +291,13 @@ def cone_scan(
         raise DomainError("x_max must be at least 1")
     if not 0.0 < threshold < 2.0:
         raise DomainError("threshold must lie strictly between 0 and 2")
+    t_grid = tuple(float(t) for t in t_grid)
+    if not t_grid:
+        raise DomainError("the time grid must hold at least one time")
     d = params.dimension
     geometry = LatticeGeometry.infinite(d, window_radius=x_max)
     sites = ball_sites(d, x_max)
     probes = _ball_array(d, x_max)
-    t_grid = tuple(float(t) for t in t_grid)
 
     def one_slice(t: float) -> np.ndarray:
         moved = apply_propagator_convolution(
@@ -309,7 +312,10 @@ def cone_scan(
             np.hypot(against_imag.real, against_imag.imag),
         )
 
-    rows = thread_map(one_slice, t_grid)
+    # Slices are independent and collected in input order, so the result
+    # does not depend on the thread count.
+    with ThreadPoolExecutor(max_workers=min(len(t_grid), os.cpu_count() or 1)) as pool:
+        rows = list(pool.map(one_slice, t_grid))
     return ConeScan(
         params=params,
         sites=sites,

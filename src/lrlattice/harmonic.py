@@ -104,6 +104,8 @@ class HarmonicParameters:
 
     def __post_init__(self):
         object.__setattr__(self, "couplings", tuple(float(c) for c in self.couplings))
+        if not all(map(math.isfinite, (self.omega, *self.couplings))):
+            raise DomainError("omega and the couplings must be finite")
         if self.omega < 0:
             raise DomainError("omega must be nonnegative")
         if len(self.couplings) < 1:
@@ -654,10 +656,11 @@ def _check_torus_setup(field: Field, params: HarmonicParameters) -> LatticeGeome
 
 
 def _reject_nonzero_mean(field: Field):
+    """Zero-mode test of massless propagation and states, on the exactly rounded mean."""
     mean = abs(field.mean_real())
     if mean > 1e-12 * max(field.norm_l1(), 1e-300):
         raise ZeroModeError(
-            "massless evolution requires the position part to have zero lattice mean; "
+            "massless models need the position part to have zero lattice mean; "
             f"got mean magnitude {mean:.3e}"
         )
 

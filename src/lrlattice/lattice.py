@@ -15,9 +15,10 @@ to the last bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +56,19 @@ def ordered_sum(terms: Iterable[float]) -> float:
     depend on chunking or thread count.
     """
     return math.fsum(terms)
+
+
+def _coordinates(x) -> Site:
+    """``x`` (an integer or a sequence of integers) as a tuple of ints.
+
+    Booleans, floats and anything else raise DomainError instead of being
+    truncated to a neighbouring site.
+    """
+    coords = x if type(x) is tuple else tuple(x) if isinstance(x, Iterable) else (x,)
+    for c in coords:
+        if type(c) is not int and not isinstance(c, np.integer):
+            raise DomainError(f"a site must be an integer or a sequence of integers, got {x!r}")
+    return tuple(map(int, coords))
 
 
 @dataclass(frozen=True)
@@ -99,10 +113,7 @@ class LatticeGeometry:
 
     def site(self, x) -> Site:
         """Normalize ``x`` to a coordinate tuple and validate it."""
-        if isinstance(x, (int, np.integer)):
-            x = (int(x),)
-        else:
-            x = tuple(int(c) for c in x)
+        x = _coordinates(x)
         if len(x) != self.dimension:
             raise DomainError(
                 f"site {x} has {len(x)} coordinates, geometry is {self.dimension}-dimensional"
@@ -118,10 +129,8 @@ class LatticeGeometry:
         """Map integer coordinates onto the torus range (-L, L]."""
         if self.half_side is None:
             return self.site(x)
-        if isinstance(x, (int, np.integer)):
-            x = (int(x),)
         L = self.half_side
-        return tuple((int(c) - L - 1) % (2 * L) - L + 1 for c in x)
+        return tuple((c - L - 1) % (2 * L) - L + 1 for c in _coordinates(x))
 
     def distance(self, x, y) -> int:
         """l1 distance between two sites (quotient metric on a torus)."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -391,8 +392,9 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    """A JSON number; booleans and numeric strings are not."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number; booleans, numeric strings, NaN, infinities and
+    integers beyond the float range are not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _site_from_json(raw, dimension: int):
@@ -444,10 +446,12 @@ def load_family(source, geometry: LatticeGeometry) -> PerturbationFamily:
             vec = []
             for pair in zs:
                 if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
-                    raise DomainError(f"z entries of measure {i} must be [re, im] number pairs")
+                    raise DomainError(
+                        f"z entries of measure {i} must be [re, im] pairs of finite numbers"
+                    )
                 vec.append(complex(float(pair[0]), float(pair[1])))
             if not _is_number(atom["weight"]):
-                raise DomainError(f"weight of atom {j} of measure {i} must be a number")
+                raise DomainError(f"weight of atom {j} of measure {i} must be a finite number")
             atoms.append((tuple(vec), float(atom["weight"])))
         measures.append(AtomicWeylMeasure(sites=sites, atoms=tuple(atoms)))
         volume.update(measures[-1].sites)

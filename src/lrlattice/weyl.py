@@ -28,6 +28,7 @@ from .harmonic import (
     Field,
     HarmonicParameters,
     ZeroModeError,
+    _reject_nonzero_mean,
     _torus_gamma,
     apply_propagator_convolution,
     apply_propagator_torus,
@@ -147,14 +148,12 @@ def smeared_norm_sq(state: QuasiFreeState, f: Field, zero_convention: bool = Fal
     total_sites = dense.size
 
     if state.params.is_massless:
-        mean = abs(float(dense.real.sum()))
-        if mean > 1e-12 * max(f.norm_l1(), 1e-300):
+        try:
+            _reject_nonzero_mean(f)
+        except ZeroModeError:
             if zero_convention:
                 return math.inf
-            raise ZeroModeError(
-                "massless state needs a zero-mean position part; "
-                f"got mean magnitude {mean:.3e}"
-            )
+            raise
         live = gam > 0
         position = float(np.sum(np.abs(u_hat[live]) ** 2 / gam[live]))
     else:

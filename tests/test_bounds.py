@@ -179,6 +179,10 @@ class TestConeScan:
         with pytest.raises(DomainError):
             cone_scan(MASSLESS, 4, (1.0,), threshold=2.5)
 
+    def test_empty_time_grid_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="time grid"):
+            cone_scan(MASSLESS, 4, ())
+
 
 class TestVelocityEstimation:
     def _synthetic(self, x_max, t_grid, front_of_t):

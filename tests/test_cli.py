@@ -1,6 +1,7 @@
 """Command-line interface: determinism, validation, exit codes, formats."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,18 @@ from pathlib import Path
 import pytest
 
 import lrlattice
-from lrlattice import DomainError, QuadratureConvergenceError, cli
+from lrlattice import (
+    DecayProfile,
+    DomainError,
+    Field,
+    LatticeGeometry,
+    QuadratureConvergenceError,
+    ball_sites,
+    cli,
+    cone_scan,
+    derive_constants,
+    harmonic_bound_rhs,
+)
 from lrlattice.cli import _flag_overrides, build_parser, main
 
 FAST_CONFIGS = {
@@ -274,6 +286,28 @@ class TestValidation:
         assert not out.exists()
         assert capsys.readouterr().err.startswith(f"config error: {key}: must be at least")
 
+    @pytest.mark.parametrize(
+        "command, flags, extra",
+        [
+            ("bounds", ("--omega", "nan"), None),
+            ("state", ("--omega", "nan"), None),
+            ("state", ("--omega", "inf"), None),
+            ("converge", ("--t", "nan"), None),
+            ("kernel", ("--lambda=-inf",), None),
+            ("bounds", (), {"a1": float("nan")}),
+            ("kernel", (), {"t": [0.5, float("inf")]}),
+            ("state", (), {"f": [{"x": [0], "re": float("nan"), "im": 0.0}]}),
+            ("state", (), {"g2": [{"x": [1], "re": 0.1, "im": float("-inf")}]}),
+            ("state", (), {"omega": 10**400}),
+        ],
+    )
+    def test_non_finite_numbers_are_config_errors(self, command, flags, extra, tmp_path, capsys):
+        code, out = run(command, tmp_path, extra=extra, flags=flags)
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err
+
     def test_scenario_errors_are_domain_errors(self):
         with pytest.raises(DomainError, match="rel_tol"):
             cli.parse_scenario("fock-verify", {"rel_tol": -1.0}, {})
@@ -322,11 +356,59 @@ class TestExitCodes:
         assert code == 2
         assert out.read_text() == "sentinel"
 
+    def test_underflowing_bound_is_a_runtime_error(self, tmp_path, capsys):
+        # F_a(32) = exp(-30 * 32) (1 + 32)^-2 is 0 in floating point.
+        code, out = run("cone", tmp_path, extra={"x_max": 32, "a": 30.0, "t": [0.0, 1e-7, 2e-7]})
+        assert code == 2
+        assert not out.exists()
+        assert "underflows" in capsys.readouterr().err
+
     def test_no_temp_files_left_behind(self, tmp_path):
         run("kernel", tmp_path)
         run("kernel", tmp_path, extra={"m": [5]}, out_name="failed.out")
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert leftovers == []
+
+
+def _per_row_worst_point(s: dict) -> dict:
+    """The cone report's worst point from one bound evaluation per (t, site) row."""
+    params = cli._params(s)
+    scan = cone_scan(params, s["x_max"], s["t"], s["theta"], s["tolerance"])
+    profile = DecayProfile(s["d"], epsilon=s["epsilon"], rate=s["a"])
+    cert = derive_constants(params, s["a"], profile, eta=s["eta"])
+    geometry = LatticeGeometry.infinite(s["d"], window_radius=s["x_max"])
+    origin = Field.delta(geometry, (0,) * s["d"])
+    worst = {"ratio": -math.inf}
+    for i, t in enumerate(scan.t_grid):
+        for j, site in enumerate(scan.sites):
+            value = float(scan.values[i, j])
+            rhs = harmonic_bound_rhs(origin, Field.delta(geometry, site), t, cert, profile)
+            ratio = value / rhs
+            if ratio > worst["ratio"]:
+                worst = {"ratio": ratio, "t": t, "x": list(site), "value": value, "rhs": rhs}
+    return worst
+
+
+class TestConeWorstPoint:
+    @pytest.mark.parametrize(
+        "d, omega, x_max, t",
+        [
+            (1, 0.0, 16, [1.0, 2.0, 3.0, 4.0, 5.0]),
+            (1, 0.7, 16, [1.0, 2.0, 3.0, 4.0, 5.0]),
+            (2, 0.0, 12, [1.0, 1.5, 2.0, 2.5, 3.0]),
+            (2, 0.7, 12, [1.0, 1.5, 2.0, 2.5, 3.0]),
+        ],
+    )
+    @pytest.mark.parametrize("a, epsilon, eta", [(1.0, 1.0, 1.0), (1.3, 0.3, 2.0)])
+    def test_per_shell_bound_matches_the_per_row_loop(self, d, omega, x_max, t, a, epsilon, eta):
+        config = {
+            "d": d, "omega": omega, "x_max": x_max, "t": t, "theta": 0.08,
+            "a": a, "epsilon": epsilon, "eta": eta,
+        }
+        s = cli.parse_scenario("cone", config, {})
+        _, _, rows, body = cli._run_cone(s)
+        assert body["worst_point"] == _per_row_worst_point(s)
+        assert len(rows) == len(t) * len(ball_sites(d, x_max))
 
 
 class TestSeededSpotCheck:

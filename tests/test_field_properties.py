@@ -40,8 +40,8 @@ SCALARS = st.one_of(
 
 
 @st.composite
-def geometries(draw):
-    d = draw(st.integers(1, 3))
+def geometries(draw, d=None):
+    d = draw(st.integers(1, 3)) if d is None else d
     if draw(st.booleans()):
         return LatticeGeometry.torus(d, draw(st.integers(1, 4)))
     return LatticeGeometry.infinite(d)
@@ -86,9 +86,9 @@ def assert_matches(field: Field, expected: dict):
 
 
 @st.composite
-def labelled(draw, count=2):
+def labelled(draw, count=2, d=None):
     # Later mappings reuse some sites of the first, so supports overlap.
-    geometry = draw(geometries())
+    geometry = draw(geometries(d))
     first = draw(mappings(geometry))
     rest = []
     for _ in range(count - 1):
@@ -115,19 +115,16 @@ class TestConstruction:
         assert field.is_zero() == (not reference(geometry, entries))
 
     @examples
-    @given(labelled(count=1), st.data())
+    @given(labelled(count=1, d=1), st.data())
     def test_duplicate_sites_accumulate_in_mapping_order(self, drawn, data):
         geometry, entries = drawn
-        # A float coordinate names the site it truncates to, so one site can
-        # appear under several keys of one mapping.
+        # In d = 1 an integer and its 1-tuple name the same site, so one site
+        # can appear under two keys of one mapping; -val makes it cancel.
         aliased = {}
         for site, val in entries.items():
             aliased[site] = val
             if data.draw(st.booleans()):
-                alias = tuple(c + 0.25 if c >= 0 else c - 0.25 for c in site)
-                aliased[alias] = data.draw(VALUES)
-            if data.draw(st.booleans()):
-                aliased[tuple(float(c) + 0.5 if c >= 0 else c - 0.5 for c in site)] = -val
+                aliased[site[0]] = data.draw(st.one_of(VALUES, st.just(-val)))
         assert_matches(Field(geometry, aliased), reference(geometry, aliased))
 
     @examples

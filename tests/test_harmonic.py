@@ -66,6 +66,14 @@ class TestParametersAndDispersion:
         with pytest.raises(DomainError):
             HarmonicParameters(omega=0.0, couplings=(0.0,))
 
+    @pytest.mark.parametrize(
+        "omega, couplings",
+        [(math.nan, (1.0,)), (math.inf, (1.0,)), (1.0, (math.nan,)), (1.0, (1.0, math.inf))],
+    )
+    def test_non_finite_parameters_rejected(self, omega, couplings):
+        with pytest.raises(DomainError, match="finite"):
+            HarmonicParameters(omega=omega, couplings=couplings)
+
     def test_gamma_rejects_wrong_arity(self):
         with pytest.raises(DomainError):
             gamma(CHAIN, (0.1, 0.2))

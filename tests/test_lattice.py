@@ -14,6 +14,7 @@ from lrlattice import (
     ConvolutionConstant,
     DecayProfile,
     DomainError,
+    Field,
     LatticeGeometry,
     ball_sites,
     convolution_constant,
@@ -51,6 +52,24 @@ class TestLatticeGeometry:
         geo = LatticeGeometry.infinite(2)
         with pytest.raises(DomainError):
             geo.site((1, 2, 3))
+
+    @pytest.mark.parametrize("x", [(1.7,), (1.0,), 1.5, True, (True,), (np.float64(2.0),), "1"])
+    def test_site_rejects_non_integer_coordinates(self, x):
+        with pytest.raises(DomainError, match="integer"):
+            LatticeGeometry.infinite(1).site(x)
+        with pytest.raises(DomainError, match="integer"):
+            LatticeGeometry.torus(1, half_side=2).wrap(x)
+
+    def test_float_site_does_not_land_on_a_neighbour(self):
+        with pytest.raises(DomainError):
+            Field.delta(LatticeGeometry.infinite(1), (1.7,))
+
+    def test_site_accepts_python_and_numpy_integers(self):
+        geo = LatticeGeometry.infinite(2)
+        site = geo.site((np.int64(-3), np.int32(2)))
+        assert site == (-3, 2)
+        assert all(type(c) is int for c in site)
+        assert LatticeGeometry.infinite(1).site(np.int16(4)) == (4,)
 
     def test_torus_site_enumeration_is_shell_lex(self):
         geo = LatticeGeometry.torus(1, half_side=2)

@@ -230,6 +230,23 @@ class TestJsonRoundTrip:
         with pytest.raises(DomainError):
             load_family(data, geo)
 
+    @pytest.mark.parametrize(
+        "z, weight",
+        [
+            ([math.nan, 0.0], 1.0),
+            ([0.2, math.inf], 1.0),
+            ([0.2, 0.0], math.nan),
+            ([0.2, 0.0], -math.inf),
+            ([0.2, 0.0], 10**400),
+        ],
+        ids=["nan-re", "inf-im", "nan-weight", "minus-inf-weight", "int-beyond-float-weight"],
+    )
+    def test_non_finite_z_and_weight_rejected(self, z, weight):
+        geo = LatticeGeometry.infinite(1)
+        data = [{"sites": [0], "atoms": [{"z": [z], "weight": weight}]}]
+        with pytest.raises(DomainError, match="finite"):
+            load_family(data, geo)
+
     def test_uneven_file_rejected(self):
         geo = LatticeGeometry.infinite(1)
         data = [

@@ -206,6 +206,25 @@ class TestMasslessState:
         a = WeylOperator(Field.delta(geo, (0,), 1.0))
         assert state_eval(state, a, zero_convention=True) == 0.0
 
+    # Real parts whose exact sum lies just under the 1e-12 * ||f||_1
+    # threshold, while a pairwise float sum over the dense torus lands just
+    # above it.
+    NEAR_THRESHOLD = {
+        (-7,): -0.6539851968418982,
+        (-3,): 0.09759752277630596,
+        (1,): 0.40608152413126297,
+        (5,): 0.3489716610046545,
+        (8,): -0.19866551106862,
+    }
+
+    def test_state_and_propagator_share_the_zero_mean_test(self):
+        geo = LatticeGeometry.torus(1, half_side=8)
+        state = QuasiFreeState(MASSLESS, geo)
+        f = Field(geo, self.NEAR_THRESHOLD)
+        apply_propagator_torus(f, MASSLESS, 0.5)
+        assert math.isfinite(smeared_norm_sq(state, f))
+        assert state_eval(state, WeylOperator(f), zero_convention=True) != 0.0
+
     def test_zero_mean_label_is_regular(self):
         geo = LatticeGeometry.torus(1, half_side=4)
         state = QuasiFreeState(MASSLESS, geo)
