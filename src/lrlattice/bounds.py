@@ -262,9 +262,14 @@ class ConeScan:
     values: np.ndarray
     threshold: float
 
+    @property
+    def radii(self) -> np.ndarray:
+        """The l1 radius of each probe site, in the order of ``sites``."""
+        return np.abs(np.array(self.sites)).sum(axis=1)
+
     def shell_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Radii 0..max and the per-shell maxima for each time slice."""
-        radii = np.array([sum(abs(c) for c in s) for s in self.sites])
+        radii = self.radii
         r_max = int(radii.max())
         out = np.zeros((len(self.t_grid), r_max + 1))
         for r in range(r_max + 1):

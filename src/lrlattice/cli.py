@@ -26,7 +26,6 @@ from .lattice import (
     DecayProfile,
     DomainError,
     LatticeGeometry,
-    _ball_array,
     convolution_constant,
 )
 from .harmonic import (
@@ -494,7 +493,7 @@ def _run_cone(s: dict):
     shells = [Field.delta(geometry, (r,) + (0,) * (d - 1)) for r in range(x_max + 1)]
     rhs = np.array(
         [[harmonic_bound_rhs(origin, g, t, cert, profile) for g in shells] for t in scan.t_grid]
-    )[:, np.abs(_ball_array(d, x_max)).sum(axis=1)]
+    )[:, scan.radii]
     if not rhs.all():
         raise DomainError("the certified bound underflows to 0 inside the scan")
     ratios = scan.values / rhs
