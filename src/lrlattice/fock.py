@@ -328,7 +328,11 @@ def perturbation_matrix(config: FockConfig, family: PerturbationFamily) -> Dense
     """Assemble sum over measures of w (W(z delta_X) + W(-z delta_X)).
 
     Representative atoms contribute w (W + W^dag), which is Hermitian entry
-    for entry; a self-mirrored zero atom contributes its weight once.
+    for entry; a self-mirrored zero atom contributes its weight once.  When
+    every label z is real, W = e^{i z q} is symmetric and the sum equals its
+    real part, so the matrix is returned real (and exactly symmetric, since
+    Re(W_ij + conj W_ji) = Re W_ij + Re W_ji); H + P and everything built
+    from it then stay in real arithmetic.
     """
     total = np.zeros((config.dimension, config.dimension), dtype=complex)
     geometry = family.geometry
@@ -340,14 +344,17 @@ def perturbation_matrix(config: FockConfig, family: PerturbationFamily) -> Dense
             field = Field(geometry, dict(zip(measure.sites, z)))
             w_matrix = weyl_matrix(config, field).entries
             total += weight * (w_matrix + w_matrix.conj().T)
-    return DenseOperator(total)
+    real = all(v.imag == 0 for m in family.measures for z, _ in m.atoms for v in z)
+    # copy, so that a cached P does not keep the complex buffer alive
+    return DenseOperator(total.real.copy() if real else total)
 
 
 @lru_cache(maxsize=4)
 def _perturbed_eigh(config: FockConfig, family: PerturbationFamily):
-    h = build_hamiltonian(config).entries + perturbation_matrix(config, family).entries
-    evals, evecs = np.linalg.eigh(h)
-    return evals, evecs
+    """Eigendecomposition of H + P, cached together with P itself."""
+    p = perturbation_matrix(config, family).entries
+    evals, evecs = np.linalg.eigh(build_hamiltonian(config).entries + p)
+    return evals, evecs, p
 
 
 def _perturbed_conjugate(
@@ -356,7 +363,7 @@ def _perturbed_conjugate(
     if not family.measures:
         evals, evecs = _hamiltonian_eigh(config)
     else:
-        evals, evecs = _perturbed_eigh(config, family)
+        evals, evecs, _ = _perturbed_eigh(config, family)
     return _conjugate(evals, evecs, t, entries)
 
 
@@ -379,6 +386,13 @@ def perturbed_evolve(
     ``quad_steps`` intervals.  The residual is pure quadrature error (the
     identity is exact on the truncated space), so it shrinks at order >= 2
     as ``quad_steps`` doubles.
+
+    The quadrature runs in the two eigenbases, H = V_h L_h V_h^* and
+    H + P = V_p L_p V_p^*.  With A_h = V_h^* A V_h, M = V_p^* V_h,
+    Q = V_p^* P V_h and D = diag(e^{i(t-s) L_h}), the bracket read in the
+    P-eigenbasis is (QD) A_h (MD)^* - (MD) A_h (QD)^*, four products per
+    node; alpha_s^P is then the entrywise phase e^{is(l_p,i - l_p,j)}, and
+    the weighted sum is rotated back by V_p once.
     """
     if operator.dim != config.dimension:
         raise DomainError("operator dimension does not match the configuration")
@@ -390,8 +404,7 @@ def perturbed_evolve(
         return evolved, 0.0
 
     evals_h, evecs_h = _hamiltonian_eigh(config)
-    evals_p, evecs_p = _perturbed_eigh(config, family)
-    p_entries = perturbation_matrix(config, family).entries
+    evals_p, evecs_p, p_entries = _perturbed_eigh(config, family)
     a_entries = operator.entries
 
     evolved = _conjugate(evals_p, evecs_p, t, a_entries)
@@ -403,11 +416,19 @@ def perturbed_evolve(
     weights[2:-1:2] = 2.0
     weights *= (t - 0.0) / quad_steps / 3.0
 
+    back_p = evecs_p.conj().T
+    a_h = evecs_h.conj().T @ a_entries @ evecs_h
+    overlap = back_p @ evecs_h
+    p_cross = back_p @ p_entries @ evecs_h
     integral = np.zeros_like(evolved)
     for s, weight in zip(nodes, weights):
-        inner = _conjugate(evals_h, evecs_h, t - s, a_entries)
-        bracket = p_entries @ inner - inner @ p_entries
-        integral += weight * _conjugate(evals_p, evecs_p, s, bracket)
+        free_phase = np.exp(1j * (t - s) * evals_h)
+        q_d = p_cross * free_phase
+        m_d = overlap * free_phase
+        bracket = q_d @ a_h @ m_d.conj().T - m_d @ a_h @ q_d.conj().T
+        phase = np.exp(1j * s * evals_p)
+        integral += weight * (phase[:, None] * bracket * phase.conj())
+    integral = evecs_p @ integral @ back_p
 
     residual = _spectral_norm(evolved - free - 1j * integral)
     return DenseOperator(evolved), float(residual)
@@ -467,21 +488,21 @@ def volume_compare(
 
     extra = config_large.sites - config_small.sites
     pad = np.eye((config_small.cutoff + 1) ** extra)
-    embedded = DenseOperator(np.kron(operator.entries, pad))
+    embedded = np.kron(operator.entries, pad)
 
-    small_sites = [(s,) for s in range(config_small.sites)]
-    large_sites = [(s,) for s in range(config_large.sites)]
+    small_sites = {(s,) for s in range(config_small.sites)}
+    large_sites = {(s,) for s in range(config_large.sites)}
     if family is None:
         family = PerturbationFamily.empty(LatticeGeometry.infinite(1))
-    family_small = family.restricted([s for s in family.volume if s in set(small_sites)])
-    family_large = family.restricted([s for s in family.volume if s in set(large_sites)])
+    family_small = family.restricted([s for s in family.volume if s in small_sites])
+    family_large = family.restricted([s for s in family.volume if s in large_sites])
 
     worst = 0.0
     for t in t_grid:
         small_t = _perturbed_conjugate(config_small, family_small, operator.entries, float(t))
-        large_t = _perturbed_conjugate(config_large, family_large, embedded.entries, float(t))
-        lifted = np.kron(small_t, pad)
-        worst = max(worst, _spectral_norm(lifted - large_t))
+        difference = np.kron(small_t, pad)
+        difference -= _perturbed_conjugate(config_large, family_large, embedded, float(t))
+        worst = max(worst, _spectral_norm(difference))
     return worst
 
 

@@ -473,6 +473,13 @@ def compute_kernel(
         points += 1
     while points < 2 * (window_radius + 1):
         points *= 2
+    # Without one refinement there is no error estimate, so fail before
+    # sampling (QuadratureSpec already guarantees max_refinements >= 1).
+    if 2 * points > max_points:
+        raise QuadratureConvergenceError(
+            f"kernel window {window_radius} needs a starting grid of {points} points "
+            f"per axis, and no refinement fits under the cap of {max_points}"
+        )
 
     prev = _kernel_samples(params, m, t, sites_arr, points)
     achieved = math.inf

@@ -13,6 +13,8 @@ from lrlattice import (
     GeometryMismatchError,
     HarmonicParameters,
     LatticeGeometry,
+    QuadratureConvergenceError,
+    QuadratureSpec,
     ball_sites,
     commutator_norm,
     cone_scan,
@@ -55,6 +57,13 @@ class TestKernelBoundVerification:
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(DomainError):
             verify_kernel_bounds(CHAIN, 0.0, (1.0,), 8)
+
+    def test_unrefinable_grid_raises_instead_of_an_infinite_allowance(self):
+        # a kernel without an error estimate would make the allowance
+        # infinite and every ratio zero, so the verifier must not get one
+        cube = HarmonicParameters(omega=1.0, couplings=(1.0, 1.0, 1.0))
+        with pytest.raises(QuadratureConvergenceError):
+            verify_kernel_bounds(cube, 1.0, (0.5,), 2, QuadratureSpec(points_per_axis=256))
 
 
 class TestDecayCertificate:

@@ -36,6 +36,7 @@ from lrlattice import (
     volume_compare,
     weyl_matrix,
 )
+from lrlattice.fock import _conjugate, _hamiltonian_eigh
 
 CHAIN = HarmonicParameters(omega=1.0, couplings=(1.0,))
 DECOUPLED = HarmonicParameters(omega=1.0, couplings=(0.0,))
@@ -294,6 +295,13 @@ class TestPerturbationMatrix:
         family = cosine_family(GEO, [(0,), (1,)], z=0.2)
         assert perturbation_matrix(config, family).hermiticity_defect() == 0.0
 
+    @pytest.mark.parametrize("z,dtype", [(0.2, np.float64), (0.15 + 0.1j, np.complex128)])
+    def test_real_labels_give_a_real_matrix(self, z, dtype):
+        config = FockConfig(2, 10, CHAIN)
+        p = perturbation_matrix(config, cosine_family(GEO, [(0,), (1,)], z=z))
+        assert p.entries.dtype == dtype
+        assert p.hermiticity_defect() == 0.0
+
     def test_zero_atom_gives_a_multiple_of_the_identity(self):
         from lrlattice import AtomicWeylMeasure
 
@@ -328,6 +336,34 @@ class TestPerturbedEvolution:
         assert math.log2(residuals[16] / residuals[32]) >= 2.0
         assert math.log2(residuals[32] / residuals[64]) >= 2.0
         assert residuals[64] < 1e-5
+
+    @pytest.mark.parametrize("cutoff", [10, 12])
+    @pytest.mark.parametrize("z", [0.2, 0.15 + 0.1j])
+    def test_eigenbasis_quadrature_matches_node_by_node_conjugation(self, cutoff, z):
+        # Reference: the same Simpson rule, with both propagators applied
+        # as full matrices at every node.
+        config = FockConfig(2, cutoff, CHAIN)
+        family = cosine_family(GEO, [(0,), (1,)], z=z)
+        w = weyl_matrix(config, Field.delta(GEO, (0,), 0.15 + 0.03j))
+        t = 0.5
+        p_entries = perturbation_matrix(config, family).entries
+        evals_h, evecs_h = _hamiltonian_eigh(config)
+        evals_p, evecs_p = np.linalg.eigh(build_hamiltonian(config).entries + p_entries)
+        evolved = _conjugate(evals_p, evecs_p, t, w.entries)
+        free = _conjugate(evals_h, evecs_h, t, w.entries)
+        for steps in (16, 64):
+            weights = np.ones(steps + 1)
+            weights[1:-1:2] = 4.0
+            weights[2:-1:2] = 2.0
+            weights *= t / steps / 3.0
+            integral = np.zeros_like(evolved)
+            for s, weight in zip(np.linspace(0.0, t, steps + 1), weights):
+                inner = _conjugate(evals_h, evecs_h, t - s, w.entries)
+                bracket = p_entries @ inner - inner @ p_entries
+                integral += weight * _conjugate(evals_p, evecs_p, s, bracket)
+            expected = np.linalg.norm(evolved - free - 1j * integral, 2)
+            _, residual = perturbed_evolve(config, family, w, t, quad_steps=steps)
+            assert residual == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_difference_from_free_obeys_the_dyson_norm_bound(self):
         config = FockConfig(2, 10, CHAIN)

@@ -36,6 +36,7 @@ from lrlattice import (
     kernel_envelope,
     symplectic_form,
 )
+from lrlattice import harmonic
 from lrlattice.harmonic import MU_GRID, _truncation_tail
 
 CHAIN = HarmonicParameters(omega=1.0, couplings=(1.0,))
@@ -235,6 +236,33 @@ class TestKernelStructure:
         assert info.value.best is not None
         assert info.value.best.samples.shape == (9,)
         assert math.isfinite(info.value.achieved)
+
+    def test_no_room_to_refine_fails_before_sampling(self, monkeypatch):
+        # In d = 3 the grid cap is 256 points per axis; a starting grid of 256
+        # leaves no refinement, so no error estimate could ever be reached.
+        calls = []
+        real_samples = harmonic._kernel_samples
+
+        def counted(*args):
+            calls.append(args)
+            return real_samples(*args)
+
+        monkeypatch.setattr(harmonic, "_kernel_samples", counted)
+        cube = HarmonicParameters(omega=1.0, couplings=(1.0, 1.0, 1.0))
+        with pytest.raises(QuadratureConvergenceError) as info:
+            compute_kernel(cube, 0, 1.0, 2, QuadratureSpec(points_per_axis=256))
+        assert calls == []
+        assert info.value.best is None
+        assert info.value.achieved == math.inf
+        message = str(info.value)
+        assert "window 2" in message and "256 points" in message and "cap of 256" in message
+        # the same holds when the certified window alone forces the grid up
+        with pytest.raises(QuadratureConvergenceError):
+            compute_kernel(cube, 0, 1.0, 64)
+        assert calls == []
+        # a grid that can still double is sampled as before
+        compute_kernel(cube, 0, 0.0, 1, QuadratureSpec(points_per_axis=8))
+        assert len(calls) >= 2
 
     def test_value_outside_window_raises(self):
         kernel = compute_kernel(CHAIN, 0, 0.5, 3)
