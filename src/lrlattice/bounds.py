@@ -31,7 +31,7 @@ from .harmonic import (
     QuadratureConvergenceError,
     QuadratureSpec,
     apply_propagator_convolution,
-    compute_kernel,
+    compute_kernels,
     envelope_prefactor,
     envelope_speed,
     kernel_envelope,
@@ -111,10 +111,10 @@ class VelocityFit(NamedTuple):
 
 
 @lru_cache(maxsize=256)
-def _kernel_best(
-    params: HarmonicParameters, m: int, t: float, window: int, quad: QuadratureSpec
-) -> Kernel:
-    """Kernel computation that keeps the best grid when refinement stalls.
+def _kernels_best(
+    params: HarmonicParameters, t: float, window: int, quad: QuadratureSpec
+) -> dict[int, Kernel]:
+    """The three kernels at one time, keeping the best grid where refinement stalls.
 
     Verification wants whatever accuracy is attainable, with the achieved
     quadrature error folded into the comparison allowance, rather than a
@@ -122,11 +122,11 @@ def _kernel_best(
     and routinely land here.
     """
     try:
-        return compute_kernel(params, m, t, window, quad)
+        return compute_kernels(params, t, window, quad)
     except QuadratureConvergenceError as err:
         if err.best is None:
             raise
-        return err.best
+        return err.kernels
 
 
 def verify_kernel_bounds(
@@ -152,8 +152,9 @@ def verify_kernel_bounds(
     worst: dict = {}
     for t in t_grid:
         t = float(t)
+        kernels = _kernels_best(params, t, window, quad)
         for m in (-1, 0, 1):
-            kernel = _kernel_best(params, m, t, window, quad)
+            kernel = kernels[m]
             allowance = max(kernel.est_quadrature_error, RATIO_FLOOR)
             rhs = kernel_envelope(params, m, mu, kernel.radii(), t)
             ratios = np.abs(kernel.samples) / (rhs + allowance)

@@ -34,7 +34,7 @@ from .harmonic import (
     QuadratureConvergenceError,
     QuadratureSpec,
     apply_propagator_torus,
-    compute_kernel,
+    compute_kernels,
 )
 from .weyl import (
     QuasiFreeState,
@@ -464,16 +464,29 @@ def _run_kernel(s: dict):
         points_per_axis=s["points"], refinement_tolerance=s["tolerance"]
     )
     d = s["d"]
-    rows = []
-    for m in sorted(set(s["m"])):
+    ms = sorted(set(s["m"]))
+    for m in ms:
         if m not in (-1, 0, 1):
             raise DomainError(f"kernel index m must be -1, 0, or 1, got {m}")
-        for t in s["t"]:
-            kernel = compute_kernel(params, m, t, s["window"], quad)
-            for site, value in zip(kernel.sites, kernel.samples):
-                rows.append(
-                    (m, t, *site, float(value), kernel.est_quadrature_error)
-                )
+    by_t, failed = [], None
+    for t in s["t"]:
+        try:
+            by_t.append(compute_kernels(params, t, s["window"], quad, ms))
+        except QuadratureConvergenceError as err:
+            # Each error names the smallest unconverged m at its t; report
+            # the first unconverged (m, t) in the rows' m-major order.
+            if err.best is None:
+                raise
+            if failed is None or err.best.m < failed.best.m:
+                failed = err
+    if failed is not None:
+        raise failed
+    rows = [
+        (m, t, *site, float(value), kernels[m].est_quadrature_error)
+        for m in ms
+        for t, kernels in zip(s["t"], by_t)
+        for site, value in zip(kernels[m].sites, kernels[m].samples)
+    ]
     header = ["m", "t", *[f"x_{i + 1}" for i in range(d)], "value", "est_error"]
     return False, header, rows, {"rows": _records(header, rows)}
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +50,7 @@ __all__ = [
     "gamma",
     "bogoliubov_multipliers",
     "compute_kernel",
+    "compute_kernels",
     "apply_propagator_torus",
     "apply_propagator_convolution",
     "symplectic_form",
@@ -81,10 +82,18 @@ class ZeroModeError(ValueError):
 class QuadratureConvergenceError(RuntimeError):
     """Grid doubling did not reach the requested quadrature tolerance."""
 
-    def __init__(self, message: str, best: "Kernel | None" = None, achieved: float = math.inf):
+    def __init__(
+        self,
+        message: str,
+        best: "Kernel | None" = None,
+        achieved: float = math.inf,
+        kernels: "dict[int, Kernel] | None" = None,
+    ):
         super().__init__(message)
         self.best = best
         self.achieved = achieved
+        # Every kernel of a compute_kernels call at its best grid, converged or not.
+        self.kernels = kernels or {}
 
 
 class WindowCertificationError(ValueError):
@@ -402,7 +411,7 @@ class Kernel:
         return cached
 
     def radii(self) -> np.ndarray:
-        return np.array([sum(abs(c) for c in s) for s in self.sites], dtype=np.int64)
+        return np.abs(_ball_array(len(self.sites[0]), self.window_radius)).sum(axis=1)
 
 
 def _offset_axis(points: int) -> np.ndarray:
@@ -411,51 +420,65 @@ def _offset_axis(points: int) -> np.ndarray:
 
 
 def _kernel_samples(
-    params: HarmonicParameters, m: int, t: float, sites: np.ndarray, points: int
-) -> np.ndarray:
-    """Midpoint-rule kernel values at integer sites, via one FFT.
+    params: HarmonicParameters, t: float, sites: np.ndarray, points: int, ms: Sequence[int]
+) -> dict[int, np.ndarray]:
+    """Midpoint-rule values of the kernels ``ms`` at integer sites, on one grid.
 
     On the offset grid the quadrature sum is a phase-corrected inverse DFT,
     so all sites in the box (-points/2, points/2)^d come out of a single
-    transform.  For m = -1 only the imaginary part is kept, which is the
-    member that stays bounded at a massless conical point.
+    transform per kernel.  gamma and the phase exp(-2 i gamma t) are built
+    once and every transform runs in place, so at most three grids are live:
+    gamma, the phase and one work buffer.  m = 1 goes first, then m = -1
+    (which turns gamma into 1 / gamma), and m = 0 transforms the phase
+    itself.  For m = -1 only the imaginary part is kept, which is the member
+    that stays bounded at a massless conical point.
     """
     d = params.dimension
-    axes = [_offset_axis(points)] * d
-    gam = _gamma_grid(params, axes)
-    if m == 0:
-        pref = 1.0
-    elif m == 1:
-        pref = gam
-    elif m == -1:
-        pref = 1.0 / gam
-    else:
-        raise DomainError("kernel index m must be -1, 0, or 1")
-    grid = pref * np.exp(-2j * gam * t)
-    transform = np.fft.ifftn(grid)
+    gam = _gamma_grid(params, [_offset_axis(points)] * d)
+    phase = np.multiply(-2j, gam)
+    np.multiply(phase, t, out=phase)
+    np.exp(phase, out=phase)
 
-    vals = transform[tuple(sites[:, j] % points for j in range(d))]
+    index = tuple(sites[:, j] % points for j in range(d))
     base = np.exp(1j * (np.pi / points - np.pi))
-    phase = np.ones(len(sites), dtype=complex)
+    shift = np.ones(len(sites), dtype=complex)
     for j in range(d):
-        phase = phase * base ** sites[:, j]
-    vals = vals * phase
-    return np.real(vals) if m == 0 else np.imag(vals)
+        shift = shift * base ** sites[:, j]
+
+    order = [m for m in (1, -1, 0) if m in ms]
+    # The last transform may overwrite the phase; earlier ones need a copy.
+    work = np.empty_like(phase) if len(order) > 1 else phase
+    out = {}
+    for m in order:
+        if m == 0:
+            grid = phase
+        else:
+            if m == -1:
+                np.divide(1.0, gam, out=gam)
+            grid = phase if m == order[-1] else work
+            np.multiply(gam, phase, out=grid)
+        vals = np.fft.ifftn(grid, out=grid)[index] * shift
+        out[m] = np.real(vals) if m == 0 else np.imag(vals)
+    return out
 
 
-def compute_kernel(
+def compute_kernels(
     params: HarmonicParameters,
-    m: int,
     t: float,
     window_radius: int,
     quad: QuadratureSpec | None = None,
-) -> Kernel:
-    """Evaluate one propagation kernel on |x| <= window_radius.
+    ms: Sequence[int] = (-1, 0, 1),
+) -> dict[int, Kernel]:
+    """Evaluate the propagation kernels ``ms`` on |x| <= window_radius.
 
     The Brillouin-zone integral is approximated by the midpoint rule on an
     even grid offset by half a cell; the grid doubles until two successive
     resolutions agree to the quadrature tolerance, and that final difference is
-    recorded as the quadrature error estimate.
+    recorded as the quadrature error estimate.  Each kernel stops refining on
+    its own, exactly where a single-kernel computation would; the kernels
+    still refining share each grid level.  If a kernel does not converge,
+    :class:`QuadratureConvergenceError` names the first such one in ``ms``
+    order and carries every kernel's best grid in ``kernels``.
     """
     if window_radius < 0:
         raise DomainError("window_radius must be nonnegative")
@@ -480,35 +503,55 @@ def compute_kernel(
             f"kernel window {window_radius} needs a starting grid of {points} points "
             f"per axis, and no refinement fits under the cap of {max_points}"
         )
+    if any(m not in (-1, 0, 1) for m in ms):
+        raise DomainError("kernel index m must be -1, 0, or 1")
 
-    prev = _kernel_samples(params, m, t, sites_arr, points)
-    achieved = math.inf
+    tol = quad.refinement_tolerance
+    samples = _kernel_samples(params, t, sites_arr, points, ms)
+    achieved = dict.fromkeys(samples, math.inf)
+    stopped = dict.fromkeys(samples, points)
+    active = list(samples)
     refinements = 0
-    while refinements < quad.max_refinements and 2 * points <= max_points:
+    while active and refinements < quad.max_refinements and 2 * points <= max_points:
         points *= 2
         refinements += 1
-        cur = _kernel_samples(params, m, t, sites_arr, points)
-        achieved = float(np.max(np.abs(cur - prev)))
-        prev = cur
-        if achieved <= quad.refinement_tolerance:
-            break
-    kernel = Kernel(
-        m=m,
-        t=float(t),
-        window_radius=window_radius,
-        sites=sites,
-        samples=prev,
-        points_per_axis=points,
-        est_quadrature_error=achieved,
-    )
-    if achieved <= quad.refinement_tolerance:
-        return kernel
-    raise QuadratureConvergenceError(
-        f"kernel quadrature reached {achieved:.3e} at {points} points per axis, "
-        f"tolerance is {quad.refinement_tolerance:.3e}",
-        best=kernel,
-        achieved=achieved,
-    )
+        for m, cur in _kernel_samples(params, t, sites_arr, points, active).items():
+            achieved[m] = float(np.max(np.abs(cur - samples[m])))
+            samples[m], stopped[m] = cur, points
+        active = [m for m in active if not achieved[m] <= tol]
+    kernels = {
+        m: Kernel(
+            m=m,
+            t=float(t),
+            window_radius=window_radius,
+            sites=sites,
+            samples=samples[m],
+            points_per_axis=stopped[m],
+            est_quadrature_error=achieved[m],
+        )
+        for m in ms
+    }
+    for m, kernel in kernels.items():
+        if not kernel.est_quadrature_error <= tol:
+            raise QuadratureConvergenceError(
+                f"kernel quadrature reached {kernel.est_quadrature_error:.3e} at "
+                f"{kernel.points_per_axis} points per axis, tolerance is {tol:.3e}",
+                best=kernel,
+                achieved=kernel.est_quadrature_error,
+                kernels=kernels,
+            )
+    return kernels
+
+
+def compute_kernel(
+    params: HarmonicParameters,
+    m: int,
+    t: float,
+    window_radius: int,
+    quad: QuadratureSpec | None = None,
+) -> Kernel:
+    """Evaluate one propagation kernel on |x| <= window_radius (see :func:`compute_kernels`)."""
+    return compute_kernels(params, t, window_radius, quad, ms=(m,))[m]
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +816,7 @@ def apply_propagator_convolution(
         refinement_tolerance=ker_tol,
         max_refinements=quad.max_refinements,
     )
-    kernels = {m: compute_kernel(params, m, t, ker_radius, quad) for m in (-1, 0, 1)}
+    kernels = compute_kernels(params, t, ker_radius, quad)
     box0 = _assemble_kernel_box(kernels[0], ker_radius)
     boxm = _assemble_kernel_box(kernels[-1], ker_radius)
     boxp = _assemble_kernel_box(kernels[1], ker_radius)

@@ -336,7 +336,7 @@ class TestExitCodes:
         def unconverged(*args, **kwargs):
             raise QuadratureConvergenceError("kernel quadrature reached 1e-3")
 
-        monkeypatch.setattr(cli, "compute_kernel", unconverged)
+        monkeypatch.setattr(cli, "compute_kernels", unconverged)
         code, out = run("kernel", tmp_path)
         assert code == 2
         assert not out.exists()

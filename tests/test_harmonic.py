@@ -8,6 +8,7 @@ group laws, symplectic invariance, and certified truncation windows.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from lrlattice import (
     bogoliubov_multipliers,
     certified_window,
     compute_kernel,
+    compute_kernels,
     envelope_prefactor,
     envelope_speed,
     gamma,
@@ -268,6 +270,105 @@ class TestKernelStructure:
         kernel = compute_kernel(CHAIN, 0, 0.5, 3)
         with pytest.raises(DomainError):
             kernel.value((4,))
+
+
+# The per-index doubling loop on fresh, out-of-place grids (gamma, phase and
+# FFT rebuilt for every kernel); the shared in-place loop must reproduce it
+# bit for bit.
+def _reference_kernel(params, m, t, window, quad):
+    d = params.dimension
+    sites = np.array(harmonic.ball_sites(d, window), dtype=np.int64).reshape(-1, d)
+    max_points = max(int(round((2**24) ** (1.0 / d))), 16)
+
+    def sample(points):
+        gam = harmonic._gamma_grid(params, [harmonic._offset_axis(points)] * d)
+        pref = {0: 1.0, 1: gam, -1: 1.0 / gam}[m]
+        vals = np.fft.ifftn(pref * np.exp(-2j * gam * t))[tuple((sites % points).T)]
+        base = np.exp(1j * (np.pi / points - np.pi))
+        shift = np.ones(len(sites), dtype=complex)
+        for j in range(d):
+            shift = shift * base ** sites[:, j]
+        vals = vals * shift
+        return np.real(vals) if m == 0 else np.imag(vals)
+
+    points = quad.points_per_axis + quad.points_per_axis % 2
+    while points < 2 * (window + 1):
+        points *= 2
+    prev, achieved, refinements = sample(points), math.inf, 0
+    while refinements < quad.max_refinements and 2 * points <= max_points:
+        points, refinements = 2 * points, refinements + 1
+        cur = sample(points)
+        achieved, prev = float(np.max(np.abs(cur - prev))), cur
+        if achieved <= quad.refinement_tolerance:
+            break
+    return prev, points, achieved
+
+
+def _same_kernel(a, b):
+    return (
+        a.m == b.m
+        and a.sites == b.sites
+        and a.samples.tobytes() == b.samples.tobytes()
+        and a.points_per_axis == b.points_per_axis
+        and a.est_quadrature_error == b.est_quadrature_error
+    )
+
+
+class TestSharedKernelQuadrature:
+    QUAD = QuadratureSpec(points_per_axis=16, refinement_tolerance=1e-9)
+
+    @pytest.mark.parametrize("ms", [(-1, 0, 1), (0,)])
+    @pytest.mark.parametrize("omega", [0.0, 1.3])
+    @pytest.mark.parametrize("d,window", [(1, 9), (2, 5), (3, 3)])
+    def test_matches_single_index_calls_bit_for_bit(self, d, window, omega, ms):
+        params = HarmonicParameters(omega=omega, couplings=(1.0, 0.8, 1.2)[:d])
+        shared = compute_kernels(params, 0.9, window, self.QUAD, ms)
+        assert list(shared) == list(ms)
+        for m in ms:
+            assert _same_kernel(shared[m], compute_kernel(params, m, 0.9, window, self.QUAD))
+            samples, points, achieved = _reference_kernel(params, m, 0.9, window, self.QUAD)
+            assert shared[m].samples.tobytes() == samples.tobytes()
+            assert (shared[m].points_per_axis, shared[m].est_quadrature_error) == (points, achieved)
+            assert shared[m].radii().tolist() == [sum(map(abs, s)) for s in shared[m].sites]
+
+    @pytest.mark.parametrize("ms", [(-1, 0, 1), (1, 0, -1), (-1, 1)])
+    @pytest.mark.parametrize(
+        "quad",
+        [
+            # m = -1 converges at 32 points, m = 0 and m = 1 do not
+            QuadratureSpec(points_per_axis=8, refinement_tolerance=1e-12, max_refinements=2),
+            QuadratureSpec(points_per_axis=8, max_refinements=1),
+        ],
+    )
+    def test_unconverged_index_raises_as_it_does_alone(self, quad, ms):
+        alone = {}
+        for m in ms:
+            try:
+                alone[m] = compute_kernel(CHAIN, m, 2.0, 3, quad)
+            except QuadratureConvergenceError as err:
+                alone[m] = err
+        first = next(alone[m] for m in ms if isinstance(alone[m], QuadratureConvergenceError))
+        with pytest.raises(QuadratureConvergenceError) as info:
+            compute_kernels(CHAIN, 2.0, 3, quad, ms)
+        assert str(info.value) == str(first)
+        assert info.value.achieved == first.achieved
+        assert _same_kernel(info.value.best, first.best)
+        for m in ms:
+            expected = alone[m].best if isinstance(alone[m], QuadratureConvergenceError) else alone[m]
+            assert _same_kernel(info.value.kernels[m], expected)
+
+    def test_transforms_run_in_place(self):
+        # gamma (8 bytes a node), the phase and one work buffer (16 each):
+        # a grid more, or an out-of-place FFT, would pass 44 bytes a node.
+        cube = HarmonicParameters(omega=1.0, couplings=(1.0, 1.0, 1.0))
+        tracemalloc.start()
+        try:
+            kernels = compute_kernels(cube, 1.0, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        finest = max(k.points_per_axis for k in kernels.values())
+        assert peak <= 44 * finest**3
 
 
 class TestEnvelopes:

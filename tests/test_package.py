@@ -17,7 +17,7 @@ PUBLIC_NAMES = {
     "HarmonicParameters", "Field", "Kernel", "QuadratureSpec", "MU_GRID",
     "SingularModeError", "ZeroModeError", "QuadratureConvergenceError",
     "WindowCertificationError", "gamma", "bogoliubov_multipliers", "symplectic_form",
-    "compute_kernel", "kernel_envelope", "envelope_speed", "envelope_prefactor",
+    "compute_kernel", "compute_kernels", "kernel_envelope", "envelope_speed", "envelope_prefactor",
     "certified_window", "apply_propagator_torus", "apply_propagator_convolution",
     # weyl
     "WeylOperator", "QuasiFreeState", "multiply", "adjoint", "free_evolve",
