@@ -36,6 +36,7 @@ from lrlattice import (
     volume_compare,
     weyl_matrix,
 )
+from lrlattice import fock
 from lrlattice.fock import _conjugate, _hamiltonian_eigh
 
 CHAIN = HarmonicParameters(omega=1.0, couplings=(1.0,))
@@ -318,6 +319,25 @@ class TestPerturbationMatrix:
         assert perturbation_matrix(config, family).norm() <= total + 1e-12
 
 
+def direct_simpson_residual(config, family, w, t, steps):
+    """The Simpson residual with both propagators applied as full matrices at every node."""
+    p_entries = perturbation_matrix(config, family).entries
+    evals_h, evecs_h = _hamiltonian_eigh(config)
+    evals_p, evecs_p = np.linalg.eigh(build_hamiltonian(config).entries + p_entries)
+    evolved = _conjugate(evals_p, evecs_p, t, w.entries)
+    free = _conjugate(evals_h, evecs_h, t, w.entries)
+    weights = np.ones(steps + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights *= t / steps / 3.0
+    integral = np.zeros_like(evolved)
+    for s, weight in zip(np.linspace(0.0, t, steps + 1), weights):
+        inner = _conjugate(evals_h, evecs_h, t - s, w.entries)
+        bracket = p_entries @ inner - inner @ p_entries
+        integral += weight * _conjugate(evals_p, evecs_p, s, bracket)
+    return np.linalg.norm(evolved - free - 1j * integral, 2)
+
+
 class TestPerturbedEvolution:
     def test_empty_family_is_exactly_free(self):
         config = FockConfig(2, 10, CHAIN)
@@ -340,30 +360,80 @@ class TestPerturbedEvolution:
     @pytest.mark.parametrize("cutoff", [10, 12])
     @pytest.mark.parametrize("z", [0.2, 0.15 + 0.1j])
     def test_eigenbasis_quadrature_matches_node_by_node_conjugation(self, cutoff, z):
-        # Reference: the same Simpson rule, with both propagators applied
-        # as full matrices at every node.
         config = FockConfig(2, cutoff, CHAIN)
         family = cosine_family(GEO, [(0,), (1,)], z=z)
         w = weyl_matrix(config, Field.delta(GEO, (0,), 0.15 + 0.03j))
-        t = 0.5
-        p_entries = perturbation_matrix(config, family).entries
-        evals_h, evecs_h = _hamiltonian_eigh(config)
-        evals_p, evecs_p = np.linalg.eigh(build_hamiltonian(config).entries + p_entries)
-        evolved = _conjugate(evals_p, evecs_p, t, w.entries)
-        free = _conjugate(evals_h, evecs_h, t, w.entries)
-        for steps in (16, 64):
-            weights = np.ones(steps + 1)
-            weights[1:-1:2] = 4.0
-            weights[2:-1:2] = 2.0
-            weights *= t / steps / 3.0
-            integral = np.zeros_like(evolved)
-            for s, weight in zip(np.linspace(0.0, t, steps + 1), weights):
-                inner = _conjugate(evals_h, evecs_h, t - s, w.entries)
-                bracket = p_entries @ inner - inner @ p_entries
-                integral += weight * _conjugate(evals_p, evecs_p, s, bracket)
-            expected = np.linalg.norm(evolved - free - 1j * integral, 2)
-            _, residual = perturbed_evolve(config, family, w, t, quad_steps=steps)
+        for steps in (6, 16, 64):
+            expected = direct_simpson_residual(config, family, w, 0.5, steps)
+            _, residual = perturbed_evolve(config, family, w, 0.5, quad_steps=steps)
             assert residual == pytest.approx(expected, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("z", [0.2, 0.15 + 0.1j])
+    def test_odd_base_ladders_match_the_direct_simpson_sum(self, z):
+        # 2 starts its ladder at one interval, 6, 12 and 24 at three; the
+        # calls run in this order, so 12 and 24 extend cached rungs.
+        config = FockConfig(2, 10, CHAIN)
+        family = cosine_family(GEO, [(0,), (1,)], z=z)
+        w = weyl_matrix(config, Field.delta(GEO, (0,), 0.2))
+        fock._rungs.clear()
+        for steps in (2, 6, 12, 24):
+            expected = direct_simpson_residual(config, family, w, 0.7, steps)
+            _, residual = perturbed_evolve(config, family, w, 0.7, quad_steps=steps)
+            assert residual == pytest.approx(expected, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("z", [0.2, 0.15 + 0.1j])
+    @pytest.mark.parametrize("order", [(16, 32, 64), (64, 32, 16)])
+    def test_warm_ladder_equals_cold_calls_bit_for_bit(self, z, order):
+        config = FockConfig(2, 10, CHAIN)
+        family = cosine_family(GEO, [(0,), (1,)], z=z)
+        w = weyl_matrix(config, Field.delta(GEO, (0,), 0.2 - 0.05j))
+        cold = {}
+        for steps in order:
+            fock._rungs.clear()
+            cold[steps] = perturbed_evolve(config, family, w, 0.6, quad_steps=steps)
+        fock._rungs.clear()
+        for steps in order:
+            evolved, residual = perturbed_evolve(config, family, w, 0.6, quad_steps=steps)
+            assert residual == cold[steps][1]
+            assert np.array_equal(evolved.entries, cold[steps][0].entries)
+
+    @pytest.mark.parametrize("change", ["operator", "t", "family"])
+    def test_a_changed_input_misses_the_cached_rungs(self, change):
+        config = FockConfig(2, 10, CHAIN)
+        family = cosine_family(GEO, [(0,), (1,)], z=0.2)
+        w = weyl_matrix(config, Field.delta(GEO, (0,), 0.2))
+        t = 0.6
+        fock._rungs.clear()
+        perturbed_evolve(config, family, w, t, quad_steps=16)
+        if change == "operator":
+            entries = w.entries.copy()
+            entries[3, 5] += 1e-3
+            w = DenseOperator(entries)
+        elif change == "t":
+            t = math.nextafter(t, 1.0)
+        else:
+            family = cosine_family(GEO, [(0,), (1,)], z=0.2 + 1e-9)
+        warm = perturbed_evolve(config, family, w, t, quad_steps=32)
+        fock._rungs.clear()
+        cold = perturbed_evolve(config, family, w, t, quad_steps=32)
+        assert warm[1] == cold[1]
+
+    def test_a_step_ladder_evaluates_each_node_once(self, monkeypatch):
+        config = FockConfig(2, 10, CHAIN)
+        family = cosine_family(GEO, [(0,), (1,)], z=0.2)
+        w = weyl_matrix(config, Field.delta(GEO, (0,), 0.2))
+        calls = []
+        bracket = fock._bracket
+
+        def counting(*args):
+            calls.append(1)
+            return bracket(*args)
+
+        monkeypatch.setattr(fock, "_bracket", counting)
+        fock._rungs.clear()
+        for steps in (16, 32, 64):
+            perturbed_evolve(config, family, w, 0.5, quad_steps=steps)
+        assert len(calls) == 65
 
     def test_difference_from_free_obeys_the_dyson_norm_bound(self):
         config = FockConfig(2, 10, CHAIN)
@@ -391,6 +461,32 @@ class TestPerturbedEvolution:
             perturbed_evolve(config, family, w, 0.5, quad_steps=7)
         with pytest.raises(DomainError):
             perturbed_evolve(config, family, w, 0.5, quad_steps=0)
+
+    @pytest.mark.parametrize("steps", [16.0, True, "16"])
+    def test_a_non_integer_step_count_is_a_named_error(self, steps):
+        config = FockConfig(2, 10, CHAIN)
+        family = cosine_family(GEO, [(0,)], z=0.2)
+        w = DenseOperator.identity(config.dimension)
+        with pytest.raises(DomainError, match="quad_steps"):
+            perturbed_evolve(config, family, w, 0.5, quad_steps=steps)
+
+    def test_a_numpy_integer_step_count_is_accepted(self):
+        config = FockConfig(2, 10, CHAIN)
+        family = cosine_family(GEO, [(0,)], z=0.2)
+        w = weyl_matrix(config, Field.delta(GEO, (0,), 0.2))
+        fock._rungs.clear()
+        expected = perturbed_evolve(config, family, w, 0.5, quad_steps=16)[1]
+        fock._rungs.clear()
+        assert perturbed_evolve(config, family, w, 0.5, quad_steps=np.int64(16))[1] == expected
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    @pytest.mark.parametrize("z", [None, 0.2])
+    def test_a_non_finite_time_is_a_named_error(self, t, z):
+        config = FockConfig(2, 10, CHAIN)
+        family = PerturbationFamily.empty(GEO) if z is None else cosine_family(GEO, [(0,)], z=z)
+        w = DenseOperator.identity(config.dimension)
+        with pytest.raises(DomainError, match="t must be finite"):
+            perturbed_evolve(config, family, w, t)
 
 
 class TestVolumeCompare:
@@ -421,6 +517,21 @@ class TestVolumeCompare:
             volume_compare(small, FockConfig(3, 10, DECOUPLED), None, op, (0.5,))
         with pytest.raises(DomainError):
             volume_compare(small, large, None, DenseOperator.identity(4), (0.5,))
+
+    @pytest.mark.parametrize("t_grid", [(0.25, math.nan), (math.inf,)])
+    def test_a_non_finite_time_is_a_named_error(self, t_grid):
+        small = FockConfig(2, 10, CHAIN)
+        large = FockConfig(3, 10, CHAIN)
+        op = DenseOperator.identity(small.dimension)
+        with pytest.raises(DomainError, match="t_grid"):
+            volume_compare(small, large, None, op, t_grid)
+
+    def test_an_empty_time_grid_is_a_named_error(self):
+        small = FockConfig(2, 10, CHAIN)
+        large = FockConfig(3, 10, CHAIN)
+        op = DenseOperator.identity(small.dimension)
+        with pytest.raises(DomainError, match="t_grid"):
+            volume_compare(small, large, None, op, ())
 
 
 class TestDiagonalizationDefect:
