@@ -246,6 +246,8 @@ def _hamiltonian_eigh(config: FockConfig):
 
 def hamiltonian_spectrum(config: FockConfig, count: int = 8) -> np.ndarray:
     """The ``count`` lowest eigenvalues of the truncated Hamiltonian."""
+    if type(count) is not int and not isinstance(count, np.integer) or count < 1:
+        raise DomainError(f"count must be a positive integer, got {count!r}")
     evals, _ = _hamiltonian_eigh(config)
     return np.array(evals[:count])
 
@@ -309,12 +311,30 @@ def weyl_matrix(config: FockConfig, f: Field) -> DenseOperator:
     return DenseOperator(full)
 
 
+def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ right; a real left times a complex right is one real GEMM on the
+    float64 view of right's C-contiguous copy, half the flops of a complex one."""
+    if np.iscomplexobj(left) or not np.iscomplexobj(right):
+        return left @ right
+    return (left @ np.ascontiguousarray(right).view(np.float64)).view(np.complex128)
+
+
+def _rotate(left: np.ndarray, matrix: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ matrix @ right, with matrix @ right = (right^T @ matrix^T)^T."""
+    return _product(left, _product(right.T, matrix.T).T)
+
+
+def _phased(evals: np.ndarray, t: float, matrix: np.ndarray) -> np.ndarray:
+    """Phi o matrix, Phi_ij = e^{it(l_i - l_j)}: e^{itH} . e^{-itH} in the eigenbasis of H."""
+    phase = np.exp(1j * t * evals)
+    return phase[:, None] * matrix * phase.conj()
+
+
 def _conjugate(evals: np.ndarray, evecs: np.ndarray, t: float, matrix: np.ndarray) -> np.ndarray:
-    """e^{itH} matrix e^{-itH} in the eigenbasis of H."""
-    propagator = (evecs * np.exp(1j * t * evals)) @ evecs.conj().T
-    moved = propagator @ matrix
-    moved = moved @ propagator.conj().T
-    return moved
+    """e^{itH} matrix e^{-itH} = V (Phi o (V^* matrix V)) V^*, with no propagator
+    formed; real eigenvectors (real labels) apply as real GEMMs."""
+    back = evecs.conj().T
+    return _rotate(evecs, _phased(evals, t, _rotate(back, matrix, evecs)), back)
 
 
 def heisenberg_evolve(config: FockConfig, operator: DenseOperator, t: float) -> DenseOperator:
@@ -331,11 +351,12 @@ def perturbation_matrix(config: FockConfig, family: PerturbationFamily) -> Dense
     Representative atoms contribute w (W + W^dag), which is Hermitian entry
     for entry; a self-mirrored zero atom contributes its weight once.  When
     every label z is real, W = e^{i z q} is symmetric and the sum equals its
-    real part, so the matrix is returned real (and exactly symmetric, since
-    Re(W_ij + conj W_ji) = Re W_ij + Re W_ji); H + P and everything built
-    from it then stay in real arithmetic.
+    real part, so the matrix is accumulated and returned real (and exactly
+    symmetric, since Re(W_ij + conj W_ji) = Re W_ij + Re W_ji); H + P and
+    everything built from it then stay in real arithmetic.
     """
-    total = np.zeros((config.dimension, config.dimension), dtype=complex)
+    real = all(v.imag == 0 for m in family.measures for z, _ in m.atoms for v in z)
+    total = np.zeros((config.dimension, config.dimension), dtype=float if real else complex)
     geometry = family.geometry
     for measure in family.measures:
         for z, weight in measure.atoms:
@@ -344,10 +365,9 @@ def perturbation_matrix(config: FockConfig, family: PerturbationFamily) -> Dense
                 continue
             field = Field(geometry, dict(zip(measure.sites, z)))
             w_matrix = weyl_matrix(config, field).entries
+            w_matrix = w_matrix.real if real else w_matrix
             total += weight * (w_matrix + w_matrix.conj().T)
-    real = all(v.imag == 0 for m in family.measures for z, _ in m.atoms for v in z)
-    # copy, so that a cached P does not keep the complex buffer alive
-    return DenseOperator(total.real.copy() if real else total)
+    return DenseOperator(total)
 
 
 @lru_cache(maxsize=4)
@@ -358,29 +378,14 @@ def _perturbed_eigh(config: FockConfig, family: PerturbationFamily):
     return evals, evecs, p
 
 
-def _perturbed_conjugate(
-    config: FockConfig, family: PerturbationFamily, entries: np.ndarray, t: float
-) -> np.ndarray:
-    if not family.measures:
-        evals, evecs = _hamiltonian_eigh(config)
-    else:
-        evals, evecs, _ = _perturbed_eigh(config, family)
-    return _conjugate(evals, evecs, t, entries)
+def _dynamics_eigh(config: FockConfig, family: PerturbationFamily):
+    """Eigendecomposition of H, or of H + P when the family has measures."""
+    return _perturbed_eigh(config, family)[:2] if family.measures else _hamiltonian_eigh(config)
 
 
 def _bracket(q: np.ndarray, m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Q X M^* - M X Q^*.
-
-    Real Q and M (real labels) act on the real and imaginary parts of X,
-    stacked into one 2n x n real matrix, as real GEMMs: half the flops of
-    complex products.  Complex Q and M multiply X directly.
-    """
-    if np.iscomplexobj(q):
-        return q @ x @ m.conj().T - m @ x @ q.conj().T
-    n = x.shape[0]
-    parts = np.vstack((x.real, x.imag))
-    out = q @ (parts @ m.T).reshape(2, n, n) - m @ (parts @ q.T).reshape(2, n, n)
-    return out[0] + 1j * out[1]
+    """Q X M^* - M X Q^*, in real GEMMs when Q and M are real (real labels)."""
+    return _rotate(q, x, m.conj().T) - _rotate(m, x, q.conj().T)
 
 
 # Top two trapezoid rungs of recent perturbed_evolve inputs, most recent
@@ -451,9 +456,10 @@ def perturbed_evolve(
     H + P = V_p L_p V_p^*.  With A_h = V_h^* A V_h, M = V_p^* V_h,
     Q = V_p^* P V_h and the free phase X = D A_h D^*, D = diag(e^{i(t-s)
     L_h}), the bracket read in the P-eigenbasis is Q X M^* - M X Q^*, four
-    products per node, real GEMMs on Re X and Im X when P is real;
-    alpha_s^P is then the entrywise phase e^{is(l_p,i - l_p,j)}, and the
-    weighted sum is rotated back by V_p once.
+    products per node, real GEMMs on X's float64 view when P is real;
+    alpha_s^P is then the entrywise phase e^{is(l_p,i - l_p,j)}.  The norm
+    is unitarily invariant, so the residual is read in that basis too:
+    alpha_t^P(A) is the phase of A_p = V_p^* A V_p, alpha_t(A) is M X M^* at s = 0.
 
     Simpson on q steps is (4 T_q - T_{q/2}) / 3, with the trapezoid sums T
     taken from a ladder of nested grids q0, 2 q0, ..., q (q0 the odd part
@@ -483,27 +489,23 @@ def perturbed_evolve(
     evals_p, evecs_p, p_entries = _perturbed_eigh(config, family)
     a_entries = operator.entries
 
-    evolved = _conjugate(evals_p, evecs_p, t, a_entries)
-    free = _conjugate(evals_h, evecs_h, t, a_entries)
-
     back_p = evecs_p.conj().T
-    a_h = evecs_h.conj().T @ a_entries @ evecs_h
+    a_p = _rotate(back_p, a_entries, evecs_p)
+    a_h = _rotate(evecs_h.conj().T, a_entries, evecs_h)
     overlap = back_p @ evecs_h
     p_cross = back_p @ p_entries @ evecs_h
 
     def node(s):
-        free_phase = np.exp(1j * (t - s) * evals_h)
-        bracket = _bracket(p_cross, overlap, free_phase[:, None] * a_h * free_phase.conj())
-        phase = np.exp(1j * s * evals_p)
-        return phase[:, None] * bracket * phase.conj()
+        return _phased(evals_p, s, _bracket(p_cross, overlap, _phased(evals_h, t - s, a_h)))
 
     key = (config, family, t, a_entries.tobytes(), a_entries.shape, a_entries.dtype.str)
     coarse, fine = _trapezoid_rungs(key, steps, t, node)
     integral = (2.0 * fine - coarse) * (2.0 * t / (3.0 * steps))
-    integral = evecs_p @ integral @ back_p
 
+    evolved = _phased(evals_p, t, a_p)
+    free = _rotate(overlap, _phased(evals_h, t, a_h), overlap.conj().T)
     residual = _spectral_norm(evolved - free - 1j * integral)
-    return DenseOperator(evolved), float(residual)
+    return DenseOperator(_rotate(evecs_p, evolved, back_p)), float(residual)
 
 
 def commutator_oracle(config: FockConfig, f: Field, g: Field, t: float) -> float:
@@ -548,6 +550,11 @@ def volume_compare(
     the large one (small sites first).  The perturbation family is
     restricted to whatever fits in each volume; both volumes share the
     cutoff so the embeddings agree.
+
+    The norm is unitarily invariant, so it is taken in the eigenbasis V of
+    the large volume: ||V^* (S_t (x) I) V - Phi o V^* (A (x) I) V|| with S_t
+    the small-volume evolution of A.  (M (x) I) V is M times V reshaped to
+    (n_small, pad * n); no n x n embedding or propagator is formed.
     """
     if config_small.sites > config_large.sites:
         raise DomainError("the small volume must embed in the large one")
@@ -563,22 +570,25 @@ def volume_compare(
     if not all(math.isfinite(t) for t in times):
         raise DomainError(f"t_grid must hold finite times, got {times!r}")
 
-    extra = config_large.sites - config_small.sites
-    pad = np.eye((config_small.cutoff + 1) ** extra)
-    embedded = np.kron(operator.entries, pad)
-
     small_sites = {(s,) for s in range(config_small.sites)}
     large_sites = {(s,) for s in range(config_large.sites)}
     if family is None:
         family = PerturbationFamily.empty(LatticeGeometry.infinite(1))
     family_small = family.restricted([s for s in family.volume if s in small_sites])
     family_large = family.restricted([s for s in family.volume if s in large_sites])
+    evals_small, evecs_small = _dynamics_eigh(config_small, family_small)
+    evals, evecs = _dynamics_eigh(config_large, family_large)
+    rows, back = evecs.reshape(config_small.dimension, -1), evecs.conj().T
+
+    def lifted(small: np.ndarray) -> np.ndarray:
+        return _product(back, (small @ rows).reshape(evecs.shape))
 
     worst = 0.0
     for t in times:
-        small_t = _perturbed_conjugate(config_small, family_small, operator.entries, t)
-        difference = np.kron(small_t, pad)
-        difference -= _perturbed_conjugate(config_large, family_large, embedded, t)
+        # conj(Phi) on S_t's side; lift(A) is redone per time, so it is freed before the norm
+        small_t = _conjugate(evals_small, evecs_small, t, operator.entries)
+        difference = _phased(evals, -t, lifted(small_t))
+        difference -= lifted(operator.entries)
         worst = max(worst, _spectral_norm(difference))
     return worst
 

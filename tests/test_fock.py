@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,16 @@ class TestHamiltonian:
         config = FockConfig(2, 12, DECOUPLED)
         assert hamiltonian_spectrum(config, 1)[0] == pytest.approx(2.0, abs=1e-10)
 
+    @pytest.mark.parametrize("count", [0, -2, 2.0, True, "3"])
+    def test_a_count_below_one_or_not_an_integer_is_a_named_error(self, count):
+        with pytest.raises(DomainError, match="count"):
+            hamiltonian_spectrum(FockConfig(1, 10, CHAIN), count)
+
+    def test_a_numpy_integer_count_is_accepted(self):
+        config = FockConfig(1, 10, CHAIN)
+        expected = hamiltonian_spectrum(config, 3)
+        assert np.array_equal(hamiltonian_spectrum(config, np.int64(3)), expected)
+
 
 class TestWeylMatrix:
     def test_unitarity(self):
@@ -181,6 +192,65 @@ class TestVacuumExpectations:
         fock_side = complex(psi0.conj() @ (weyl_matrix(config, f).entries @ psi0))
         state = QuasiFreeState(CHAIN, RING2)
         assert abs(fock_side - state_eval(state, WeylOperator(f))) < 1e-10
+
+
+def site_basis_conjugate(evals, evecs, t, matrix):
+    """e^{itH} matrix e^{-itH} with the propagator formed: three dense complex GEMMs."""
+    propagator = (evecs * np.exp(1j * t * evals)) @ evecs.conj().T
+    return propagator @ matrix @ propagator.conj().T
+
+
+def site_basis_differences(small, large, family, operator, times):
+    """The norms volume_compare maximizes, in the site basis: np.kron
+    embeddings and dense conjugations, one norm per time."""
+
+    def eigh(config):
+        sites = {(s,) for s in range(config.sites)}
+        kept = family.restricted([s for s in family.volume if s in sites]) if family else None
+        h = build_hamiltonian(config).entries
+        if kept is not None and kept.measures:
+            h = h + perturbation_matrix(config, kept).entries
+        return np.linalg.eigh(h)
+
+    pad = np.eye((small.cutoff + 1) ** (large.sites - small.sites))
+    embedded = np.kron(operator.entries, pad)
+    eigh_small, eigh_large = eigh(small), eigh(large)
+    norms = []
+    for t in times:
+        moved_small = np.kron(site_basis_conjugate(*eigh_small, t, operator.entries), pad)
+        moved_large = site_basis_conjugate(*eigh_large, t, embedded)
+        norms.append(np.linalg.norm(moved_small - moved_large, 2))
+    return norms
+
+
+class TestEigenbasisConjugation:
+    @pytest.mark.parametrize("z", [None, 0.2, 0.15 + 0.1j])
+    def test_matches_the_site_basis_propagators(self, z):
+        # z = None is H itself; a complex z gives complex eigenvectors of H + P
+        config = FockConfig(2, 10, CHAIN)
+        h = build_hamiltonian(config).entries
+        if z is not None:
+            h = h + perturbation_matrix(config, cosine_family(GEO, [(0,), (1,)], z=z)).entries
+        evals, evecs = np.linalg.eigh(h)
+        observables = [
+            weyl_matrix(config, Field.delta(GEO, (0,), 0.15 + 0.03j)).entries,
+            build_site_operators(config)[1].q.entries,
+        ]
+        for matrix in observables:
+            for t in (0.0, 0.7, -1.3):
+                expected = site_basis_conjugate(evals, evecs, t, matrix)
+                moved = _conjugate(evals, evecs, t, matrix)
+                scale = np.linalg.norm(expected, 2)
+                assert np.linalg.norm(moved - expected, 2) <= 1e-13 * scale
+
+    def test_heisenberg_evolution_matches_the_site_basis_propagators(self):
+        config = FockConfig(2, 10, CHAIN)
+        w = weyl_matrix(config, Field.delta(GEO, (1,), -0.1 + 0.12j))
+        evals, evecs = _hamiltonian_eigh(config)
+        for t in (0.0, 0.4, 1.3):
+            expected = site_basis_conjugate(evals, evecs, t, w.entries)
+            moved = heisenberg_evolve(config, w, t).entries
+            assert np.linalg.norm(moved - expected, 2) <= 1e-13 * np.linalg.norm(expected, 2)
 
 
 class TestHeisenbergEvolution:
@@ -324,17 +394,17 @@ def direct_simpson_residual(config, family, w, t, steps):
     p_entries = perturbation_matrix(config, family).entries
     evals_h, evecs_h = _hamiltonian_eigh(config)
     evals_p, evecs_p = np.linalg.eigh(build_hamiltonian(config).entries + p_entries)
-    evolved = _conjugate(evals_p, evecs_p, t, w.entries)
-    free = _conjugate(evals_h, evecs_h, t, w.entries)
+    evolved = site_basis_conjugate(evals_p, evecs_p, t, w.entries)
+    free = site_basis_conjugate(evals_h, evecs_h, t, w.entries)
     weights = np.ones(steps + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     weights *= t / steps / 3.0
     integral = np.zeros_like(evolved)
     for s, weight in zip(np.linspace(0.0, t, steps + 1), weights):
-        inner = _conjugate(evals_h, evecs_h, t - s, w.entries)
+        inner = site_basis_conjugate(evals_h, evecs_h, t - s, w.entries)
         bracket = p_entries @ inner - inner @ p_entries
-        integral += weight * _conjugate(evals_p, evecs_p, s, bracket)
+        integral += weight * site_basis_conjugate(evals_p, evecs_p, s, bracket)
     return np.linalg.norm(evolved - free - 1j * integral, 2)
 
 
@@ -504,6 +574,43 @@ class TestVolumeCompare:
         family = cosine_family(GEO, [(0,), (1,)], z=0.2)
         op = weyl_matrix(small, Field.delta(GEO, (0,), 0.2))
         assert volume_compare(small, large, family, op, (0.3, 0.7)) < 1e-11
+
+    @pytest.mark.parametrize(
+        "sites, cutoff, z",
+        [
+            ((2, 3), 8, 0.05),
+            ((2, 3), 8, 0.04 + 0.03j),
+            ((1, 3), 8, None),
+            ((1, 2), 10, 0.04 + 0.03j),
+            ((2, 2), 10, 0.05),
+        ],
+    )
+    def test_matches_the_site_basis_embedding(self, sites, cutoff, z):
+        # (2, 2) compares equal volumes, where nothing is padded and the
+        # difference is pure roundoff, as it is at t = 0
+        small, large = FockConfig(sites[0], cutoff, CHAIN), FockConfig(sites[1], cutoff, CHAIN)
+        family = None if z is None else cosine_family(GEO, [(0,), (1,), (2,)], z=z)
+        op = weyl_matrix(small, Field.delta(GEO, (0,), 0.05 - 0.02j))
+        expected = site_basis_differences(small, large, family, op, (0.0, 0.3, -0.6))
+        grids = [((0.0,), expected[0]), ((0.3,), expected[1]), ((0.3, -0.6), max(expected[1:]))]
+        for t_grid, value in grids:
+            measured = volume_compare(small, large, family, op, t_grid)
+            assert measured == pytest.approx(value, rel=1e-13, abs=1e-13)
+
+    def test_peak_memory_is_three_buffers(self):
+        # The difference, and the Gram matrix and its conjugate copy inside
+        # the norm; the site-basis path held about six n x n complex arrays.
+        small, large = FockConfig(2, 8, CHAIN), FockConfig(3, 8, CHAIN)
+        family = cosine_family(GEO, [(0,), (1,), (2,)], z=0.05)
+        op = weyl_matrix(small, Field.delta(GEO, (0,), 0.05))
+        volume_compare(small, large, family, op, (0.5,))  # fills the eigh caches
+        tracemalloc.start()
+        try:
+            volume_compare(small, large, family, op, (0.5,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * large.dimension**2 * 16
 
     def test_validation(self):
         small = FockConfig(2, 10, CHAIN)
