@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -42,7 +42,6 @@ from .lattice import (
     DomainError,
     GeometryMismatchError,
     LatticeGeometry,
-    _ball_array,
     ball_sites,
     ordered_sum,
 )
@@ -88,16 +87,7 @@ class DecayCertificate:
     a1: float
 
     def as_report(self) -> dict:
-        return {
-            "a": self.a,
-            "mu": self.mu,
-            "velocity_bound": self.velocity_bound,
-            "prefactor": self.prefactor,
-            "c_a": self.c_a,
-            "v_a": self.v_a,
-            "a0": self.a0,
-            "a1": self.a1,
-        }
+        return asdict(self)
 
 
 class KernelBoundReport(NamedTuple):
@@ -164,7 +154,7 @@ def verify_kernel_bounds(
                 worst = {
                     "m": m,
                     "t": t,
-                    "x": kernel.sites[idx],
+                    "x": tuple(kernel.sites[idx].tolist()),
                     "value": float(kernel.samples[idx]),
                     "envelope": float(np.atleast_1d(rhs)[idx]),
                     "allowance": allowance,
@@ -258,7 +248,7 @@ class ConeScan:
     """
 
     params: HarmonicParameters
-    sites: tuple
+    sites: np.ndarray  # the probe sites, ball_sites(d, x_max)
     t_grid: tuple
     values: np.ndarray
     threshold: float
@@ -266,7 +256,7 @@ class ConeScan:
     @property
     def radii(self) -> np.ndarray:
         """The l1 radius of each probe site, in the order of ``sites``."""
-        return np.abs(np.array(self.sites)).sum(axis=1)
+        return np.abs(self.sites).sum(axis=1)
 
     def shell_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Radii 0..max and the per-shell maxima for each time slice."""
@@ -303,13 +293,12 @@ def cone_scan(
     d = params.dimension
     geometry = LatticeGeometry.infinite(d, window_radius=x_max)
     sites = ball_sites(d, x_max)
-    probes = _ball_array(d, x_max)
 
     def one_slice(t: float) -> np.ndarray:
         moved = apply_propagator_convolution(
             Field.delta(geometry, (0,) * d), params, t, tolerance=tolerance
         )
-        val = moved._values_at(probes)
+        val = moved._values_at(sites)
         against_real = 1.0 - np.exp(-1.0j * val.imag)
         against_imag = 1.0 - np.exp(1.0j * val.real)
         # np.hypot rounds like the scalar abs(); np.abs on complex arrays does not.
@@ -398,5 +387,5 @@ def _random_field(rng, geometry, sites) -> Field:
     picks = rng.choice(len(sites), size=min(3, len(sites)), replace=False)
     entries = {}
     for idx in picks:
-        entries[sites[int(idx)]] = complex(rng.normal(), rng.normal())
+        entries[tuple(sites[int(idx)].tolist())] = complex(rng.normal(), rng.normal())
     return Field(geometry, entries)

@@ -26,6 +26,7 @@ from .lattice import (
     DecayProfile,
     DomainError,
     LatticeGeometry,
+    _is_int,
     convolution_constant,
 )
 from .harmonic import (
@@ -54,7 +55,6 @@ from .bounds import (
 from .perturbations import (
     PerturbationFamily,
     VolumeSequence,
-    _is_int,
     _is_number,
     convergence_tail,
     cosine_family,
@@ -485,7 +485,7 @@ def _run_kernel(s: dict):
         (m, t, *site, float(value), kernels[m].est_quadrature_error)
         for m in ms
         for t, kernels in zip(s["t"], by_t)
-        for site, value in zip(kernels[m].sites, kernels[m].samples)
+        for site, value in zip(kernels[m].sites.tolist(), kernels[m].samples)
     ]
     header = ["m", "t", *[f"x_{i + 1}" for i in range(d)], "value", "est_error"]
     return False, header, rows, {"rows": _records(header, rows)}
@@ -511,17 +511,18 @@ def _run_cone(s: dict):
         raise DomainError("the certified bound underflows to 0 inside the scan")
     ratios = scan.values / rhs
     i, j = np.unravel_index(np.argmax(ratios), ratios.shape)  # the first maximum in row order
+    sites = scan.sites.tolist()
     worst = {
         "ratio": float(ratios[i, j]),
         "t": scan.t_grid[i],
-        "x": list(scan.sites[j]),
+        "x": sites[j],
         "value": float(scan.values[i, j]),
         "rhs": float(rhs[i, j]),
     }
     rows = [
         (t, *site, value)
         for t, values in zip(scan.t_grid, scan.values.tolist())
-        for site, value in zip(scan.sites, values)
+        for site, value in zip(sites, values)
     ]
     violated = worst["ratio"] > 1.0
     header = ["t", *[f"x_{k + 1}" for k in range(d)], "value"]

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .harmonic import Field, HarmonicParameters, SingularModeError, gamma
-from .lattice import DomainError, GeometryMismatchError, LatticeGeometry
+from .lattice import DomainError, GeometryMismatchError, LatticeGeometry, _is_int
 from .perturbations import PerturbationFamily
 
 __all__ = [
@@ -163,8 +163,10 @@ def restricted_norm(config: FockConfig, operator: DenseOperator, occupation_cap:
     """
     if operator.dim != config.dimension:
         raise DomainError("operator dimension does not match the configuration")
-    if not 0 <= occupation_cap <= config.sites * config.cutoff:
-        raise DomainError("occupation cap must lie between 0 and the total occupancy")
+    if not _is_int(occupation_cap) or not 0 <= occupation_cap <= config.sites * config.cutoff:
+        raise DomainError(
+            f"occupation cap must be an integer in [0, total occupancy], got {occupation_cap!r}"
+        )
     keep = _occupation_grid(config.sites, config.cutoff) <= occupation_cap
     return _spectral_norm(operator.entries[np.ix_(keep, keep)])
 
@@ -246,7 +248,7 @@ def _hamiltonian_eigh(config: FockConfig):
 
 def hamiltonian_spectrum(config: FockConfig, count: int = 8) -> np.ndarray:
     """The ``count`` lowest eigenvalues of the truncated Hamiltonian."""
-    if type(count) is not int and not isinstance(count, np.integer) or count < 1:
+    if not _is_int(count) or count < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")
     evals, _ = _hamiltonian_eigh(config)
     return np.array(evals[:count])
@@ -286,7 +288,6 @@ def weyl_matrix(config: FockConfig, f: Field) -> DenseOperator:
     _, q_site, p_site = _site_matrices(cutoff)
 
     full = np.array([[1.0]], dtype=complex)
-    vacuum_columns = []
     for amp in amplitudes:
         if amp == 0:
             factor = np.eye(cutoff + 1, dtype=complex)
@@ -294,14 +295,10 @@ def weyl_matrix(config: FockConfig, f: Field) -> DenseOperator:
             generator = amp.real * q_site + amp.imag * p_site
             evals, evecs = np.linalg.eigh(generator)
             factor = (evecs * np.exp(1j * evals)) @ evecs.conj().T
-        vacuum_columns.append(factor[:, 0])
         full = np.kron(full, factor)
 
-    moved = np.array([[1.0]], dtype=complex)
-    for column in vacuum_columns:
-        moved = np.kron(moved, column.reshape(-1, 1))
     past = _occupation_grid(config.sites, cutoff) > cutoff - 5
-    leakage = float(np.linalg.norm(moved.ravel()[past]))
+    leakage = float(np.linalg.norm(full[:, 0][past]))
     if leakage > LEAKAGE_LIMIT:
         raise TruncationLeakageError(
             f"vacuum leakage {leakage:.3e} past the cutoff exceeds {LEAKAGE_LIMIT:.0e}; "
@@ -327,7 +324,9 @@ def _rotate(left: np.ndarray, matrix: np.ndarray, right: np.ndarray) -> np.ndarr
 def _phased(evals: np.ndarray, t: float, matrix: np.ndarray) -> np.ndarray:
     """Phi o matrix, Phi_ij = e^{it(l_i - l_j)}: e^{itH} . e^{-itH} in the eigenbasis of H."""
     phase = np.exp(1j * t * evals)
-    return phase[:, None] * matrix * phase.conj()
+    out = phase[:, None] * matrix
+    out *= phase.conj()
+    return out
 
 
 def _conjugate(evals: np.ndarray, evecs: np.ndarray, t: float, matrix: np.ndarray) -> np.ndarray:
@@ -473,7 +472,7 @@ def perturbed_evolve(
     """
     if operator.dim != config.dimension:
         raise DomainError("operator dimension does not match the configuration")
-    if type(quad_steps) is not int and not isinstance(quad_steps, np.integer):
+    if not _is_int(quad_steps):
         raise DomainError(f"quad_steps must be an integer, got {quad_steps!r}")
     steps = int(quad_steps)
     if steps < 2 or steps % 2 != 0:

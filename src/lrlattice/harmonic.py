@@ -30,7 +30,7 @@ from .lattice import (
     GeometryMismatchError,
     LatticeGeometry,
     Site,
-    _ball_array,
+    _coordinates,
     _site_keys,
     _torus_sites,
     ball_sites,
@@ -391,27 +391,19 @@ class Kernel:
     m: int
     t: float
     window_radius: int
-    sites: tuple[Site, ...]
+    sites: np.ndarray  # ball_sites(d, window_radius)
     samples: np.ndarray
     points_per_axis: int
     est_quadrature_error: float
 
     def value(self, site) -> float:
-        site = (site,) if isinstance(site, int) else tuple(int(c) for c in site)
-        idx = self._index().get(site)
-        if idx is None:
+        site = _coordinates(site)
+        if len(site) != self.sites.shape[1] or sum(map(abs, site)) > self.window_radius:
             raise DomainError(f"site {site} outside kernel window {self.window_radius}")
-        return float(self.samples[idx])
-
-    def _index(self) -> dict[Site, int]:
-        cached = getattr(self, "_site_index", None)
-        if cached is None:
-            cached = {s: i for i, s in enumerate(self.sites)}
-            object.__setattr__(self, "_site_index", cached)
-        return cached
+        return float(self.samples[np.flatnonzero((self.sites == site).all(axis=1))[0]])
 
     def radii(self) -> np.ndarray:
-        return np.abs(_ball_array(len(self.sites[0]), self.window_radius)).sum(axis=1)
+        return np.abs(self.sites).sum(axis=1)
 
 
 def _offset_axis(points: int) -> np.ndarray:
@@ -485,7 +477,6 @@ def compute_kernels(
     quad = quad or QuadratureSpec()
     d = params.dimension
     sites = ball_sites(d, window_radius)
-    sites_arr = _ball_array(d, window_radius)
 
     # Keep the full tensor grid under ~16M nodes so refinement cannot
     # exhaust memory; the cap is generous for d <= 2 and modest for d = 3.
@@ -507,7 +498,7 @@ def compute_kernels(
         raise DomainError("kernel index m must be -1, 0, or 1")
 
     tol = quad.refinement_tolerance
-    samples = _kernel_samples(params, t, sites_arr, points, ms)
+    samples = _kernel_samples(params, t, sites, points, ms)
     achieved = dict.fromkeys(samples, math.inf)
     stopped = dict.fromkeys(samples, points)
     active = list(samples)
@@ -515,7 +506,7 @@ def compute_kernels(
     while active and refinements < quad.max_refinements and 2 * points <= max_points:
         points *= 2
         refinements += 1
-        for m, cur in _kernel_samples(params, t, sites_arr, points, active).items():
+        for m, cur in _kernel_samples(params, t, sites, points, active).items():
             achieved[m] = float(np.max(np.abs(cur - samples[m])))
             samples[m], stopped[m] = cur, points
         active = [m for m in active if not achieved[m] <= tol]
@@ -759,10 +750,10 @@ def apply_propagator_torus(field: Field, params: HarmonicParameters, t: float) -
     return Field.from_dense(geometry, out)
 
 
-def _assemble_kernel_box(kernel: Kernel, radius: int) -> np.ndarray:
-    d = len(kernel.sites[0])
-    box = np.zeros((2 * radius + 1,) * d, dtype=float)
-    box[tuple((_ball_array(d, radius) + radius).T)] = kernel.samples
+def _assemble_kernel_box(kernel: Kernel) -> np.ndarray:
+    radius = kernel.window_radius
+    box = np.zeros((2 * radius + 1,) * kernel.sites.shape[1], dtype=float)
+    box[tuple((kernel.sites + radius).T)] = kernel.samples
     return box
 
 
@@ -817,9 +808,9 @@ def apply_propagator_convolution(
         max_refinements=quad.max_refinements,
     )
     kernels = compute_kernels(params, t, ker_radius, quad)
-    box0 = _assemble_kernel_box(kernels[0], ker_radius)
-    boxm = _assemble_kernel_box(kernels[-1], ker_radius)
-    boxp = _assemble_kernel_box(kernels[1], ker_radius)
+    box0 = _assemble_kernel_box(kernels[0])
+    boxm = _assemble_kernel_box(kernels[-1])
+    boxp = _assemble_kernel_box(kernels[1])
     # Symbols as in the module docstring: the kernels are real and even.
     ker_a = box0 - 0.5j * (boxm + boxp)
     ker_b = 0.5j * (boxp - boxm)
@@ -833,5 +824,5 @@ def apply_propagator_convolution(
         out += val * ker_a[sl]
         out += val.conjugate() * ker_b[sl]
 
-    sites = _ball_array(d, out_radius)
+    sites = ball_sites(d, out_radius)
     return Field._from_arrays(geometry, sites, out[tuple((sites + out_radius).T)])

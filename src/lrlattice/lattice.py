@@ -15,7 +15,7 @@ to the last bit.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -58,6 +58,11 @@ def ordered_sum(terms: Iterable[float]) -> float:
     return math.fsum(terms)
 
 
+def _is_int(x) -> bool:
+    """A Python or numpy integer; booleans, floats and integral floats are not."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
 def _coordinates(x) -> Site:
     """``x`` (an integer or a sequence of integers) as a tuple of ints.
 
@@ -66,7 +71,7 @@ def _coordinates(x) -> Site:
     """
     coords = x if type(x) is tuple else tuple(x) if isinstance(x, Iterable) else (x,)
     for c in coords:
-        if type(c) is not int and not isinstance(c, np.integer):
+        if not _is_int(c):
             raise DomainError(f"a site must be an integer or a sequence of integers, got {x!r}")
     return tuple(map(int, coords))
 
@@ -145,11 +150,11 @@ class LatticeGeometry:
             total += min(delta, n - delta)
         return total
 
-    def sites(self) -> Iterator[Site]:
-        """All torus sites, ordered by (l1 radius, lexicographic)."""
+    def sites(self) -> np.ndarray:
+        """All torus sites as a read-only (n, d) int64 array, in (shell, lexicographic) order."""
         if self.half_side is None:
             raise DomainError("site enumeration is only defined for torus geometries")
-        return iter(map(tuple, _torus_sites(self.dimension, self.half_side).tolist()))
+        return _torus_sites(self.dimension, self.half_side)
 
 
 def site_sort_key(x: Site):
@@ -210,17 +215,15 @@ def shell_count(dimension: int, radius: int) -> int:
     return total
 
 
-@lru_cache(maxsize=32)
-def ball_sites(dimension: int, radius: int) -> tuple[Site, ...]:
-    """Sites of the l1 ball of given radius, in (shell, lexicographic) order."""
-    return tuple(map(tuple, _ball_array(dimension, radius).tolist()))
-
-
-@lru_cache(maxsize=32)
-def _ball_array(dimension: int, radius: int) -> np.ndarray:
-    """Read-only array of :func:`ball_sites`, in the same order."""
-    if radius < 0:
-        raise DomainError("radius must be nonnegative")
+# typed: 2.0 and True equal the cached keys 2 and 1, and must still be rejected.
+@lru_cache(maxsize=32, typed=True)
+def ball_sites(dimension: int, radius: int) -> np.ndarray:
+    """Sites of the l1 ball of given radius as a read-only (n, d) int64 array,
+    in (shell, lexicographic) order."""
+    if not _is_int(dimension) or dimension < 1:
+        raise DomainError(f"dimension must be a positive integer, got {dimension!r}")
+    if not _is_int(radius) or radius < 0:
+        raise DomainError(f"radius must be a nonnegative integer, got {radius!r}")
     cube = _sorted_cube(dimension, -radius, radius)
     sites = cube[np.abs(cube).sum(axis=1) <= radius]
     sites.flags.writeable = False
@@ -310,7 +313,7 @@ class ConvolutionConstant(NamedTuple):
 
 def _convolution_value(profile: DecayProfile, window: int) -> tuple[float, Site]:
     d = profile.dimension
-    pts = _ball_array(d, 2 * window)
+    pts = ball_sites(d, 2 * window)
     radii = np.abs(pts).sum(axis=1)
     table = profile.value(np.arange(3 * window + 1, dtype=float))
     fz = table[radii]
@@ -319,7 +322,7 @@ def _convolution_value(profile: DecayProfile, window: int) -> tuple[float, Site]
     # Lattice symmetries (sign flips, axis permutations) leave the
     # convolution sum invariant, so separations with sorted nonnegative
     # coordinates cover every case.
-    seps = _ball_array(d, window)
+    seps = ball_sites(d, window)
     seps = seps[(seps >= 0).all(axis=1) & (seps[:, :-1] >= seps[:, 1:]).all(axis=1)]
     for s in seps.tolist():
         dist = np.abs(pts - np.asarray(s, dtype=np.int64)).sum(axis=1)

@@ -31,6 +31,7 @@ from .lattice import (
     DomainError,
     GeometryMismatchError,
     LatticeGeometry,
+    _is_int,
     ordered_sum,
     site_sort_key,
 )
@@ -384,11 +385,6 @@ def cosine_family(geometry: LatticeGeometry, sites, z: complex, weight: float = 
         AtomicWeylMeasure(sites=(s,), atoms=(((complex(z),), float(weight)),)) for s in sites
     )
     return PerturbationFamily(geometry, sites, measures)
-
-
-def _is_int(v) -> bool:
-    """A JSON integer; booleans are not coordinates."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_number(v) -> bool:

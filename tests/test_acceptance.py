@@ -68,7 +68,7 @@ def test_criterion_01_kernel_identity_at_zero_time(capsys):
                 kernel = compute_kernel(params, m, 0.0, 6)
                 expected = np.zeros(len(kernel.sites))
                 if m == 0:
-                    expected[list(kernel.sites).index((0,) * d)] = 1.0
+                    expected[kernel.sites.tolist().index([0] * d)] = 1.0
                 worst = max(worst, float(np.max(np.abs(kernel.samples - expected))))
     elapsed = time.time() - started
     ok = worst <= 1e-10 and elapsed < 10.0
@@ -177,7 +177,7 @@ def test_criterion_06_light_cone_velocity_and_bound(capsys):
     origin = Field.delta(geometry, (0,))
     worst_ratio = 0.0
     for i, t in enumerate(scan.t_grid):
-        for j, site in enumerate(scan.sites):
+        for j, site in enumerate(scan.sites.tolist()):
             rhs = harmonic_bound_rhs(origin, Field.delta(geometry, site), t, cert, profile)
             worst_ratio = max(worst_ratio, float(scan.values[i, j]) / rhs)
     ok = 1.8 <= fit.v_emp <= 2.1 and worst_ratio <= 1.0

@@ -380,12 +380,12 @@ def _per_row_worst_point(s: dict) -> dict:
     origin = Field.delta(geometry, (0,) * s["d"])
     worst = {"ratio": -math.inf}
     for i, t in enumerate(scan.t_grid):
-        for j, site in enumerate(scan.sites):
+        for j, site in enumerate(scan.sites.tolist()):
             value = float(scan.values[i, j])
             rhs = harmonic_bound_rhs(origin, Field.delta(geometry, site), t, cert, profile)
             ratio = value / rhs
             if ratio > worst["ratio"]:
-                worst = {"ratio": ratio, "t": t, "x": list(site), "value": value, "rhs": rhs}
+                worst = {"ratio": ratio, "t": t, "x": site, "value": value, "rhs": rhs}
     return worst
 
 

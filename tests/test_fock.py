@@ -301,6 +301,18 @@ class TestRestrictedNorm:
         with pytest.raises(DomainError):
             restricted_norm(config, DenseOperator.identity(4))
 
+    @pytest.mark.parametrize("cap", [2.5, 4.0, True, "3"])
+    def test_a_cap_that_is_not_an_integer_is_a_named_error(self, cap):
+        config = FockConfig(2, 10, CHAIN)
+        with pytest.raises(DomainError, match="integer"):
+            restricted_norm(config, DenseOperator.identity(config.dimension), occupation_cap=cap)
+
+    def test_a_numpy_integer_cap_is_accepted(self):
+        config = FockConfig(2, 10, CHAIN)
+        matrix = DenseOperator(np.random.default_rng(5).normal(size=(121, 121)))
+        expected = restricted_norm(config, matrix, occupation_cap=4)
+        assert restricted_norm(config, matrix, occupation_cap=np.int64(4)) == expected
+
 
 class TestCommutatorOracle:
     def test_converges_to_the_exact_algebra_value(self):

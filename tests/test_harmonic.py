@@ -146,7 +146,7 @@ class TestKernelIdentityAtZero:
     def test_kernel_at_t_zero(self, params):
         window = 6
         k0 = compute_kernel(params, 0, 0.0, window)
-        for site in k0.sites:
+        for site in map(tuple, k0.sites.tolist()):
             expected = 1.0 if all(c == 0 for c in site) else 0.0
             assert abs(k0.value(site) - expected) < 1e-12
         for m in (-1, 1):
@@ -271,13 +271,29 @@ class TestKernelStructure:
         with pytest.raises(DomainError):
             kernel.value((4,))
 
+    def test_value_reads_the_row_of_the_shared_ball(self):
+        kernel = compute_kernel(CHAIN, 0, 0.5, 3)
+        assert kernel.sites is harmonic.ball_sites(1, 3)
+        for row, site in enumerate(kernel.sites.tolist()):
+            assert kernel.value(site) == kernel.samples[row] == kernel.value(np.int64(site[0]))
+
+    @pytest.mark.parametrize("site", [(2.7,), 2.7, True, (True,), (np.float64(2.0),), (1, 0)])
+    def test_value_rejects_non_integer_sites(self, site):
+        kernel = compute_kernel(CHAIN, 0, 0.5, 3)
+        with pytest.raises(DomainError):
+            kernel.value(site)
+
+    def test_non_integer_window_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            compute_kernel(CHAIN, 0, 1.0, 2.5)
+
 
 # The per-index doubling loop on fresh, out-of-place grids (gamma, phase and
 # FFT rebuilt for every kernel); the shared in-place loop must reproduce it
 # bit for bit.
 def _reference_kernel(params, m, t, window, quad):
     d = params.dimension
-    sites = np.array(harmonic.ball_sites(d, window), dtype=np.int64).reshape(-1, d)
+    sites = harmonic.ball_sites(d, window)
     max_points = max(int(round((2**24) ** (1.0 / d))), 16)
 
     def sample(points):
@@ -307,7 +323,7 @@ def _reference_kernel(params, m, t, window, quad):
 def _same_kernel(a, b):
     return (
         a.m == b.m
-        and a.sites == b.sites
+        and np.array_equal(a.sites, b.sites)
         and a.samples.tobytes() == b.samples.tobytes()
         and a.points_per_axis == b.points_per_axis
         and a.est_quadrature_error == b.est_quadrature_error
@@ -329,7 +345,7 @@ class TestSharedKernelQuadrature:
             samples, points, achieved = _reference_kernel(params, m, 0.9, window, self.QUAD)
             assert shared[m].samples.tobytes() == samples.tobytes()
             assert (shared[m].points_per_axis, shared[m].est_quadrature_error) == (points, achieved)
-            assert shared[m].radii().tolist() == [sum(map(abs, s)) for s in shared[m].sites]
+            assert shared[m].radii().tolist() == [sum(map(abs, s)) for s in shared[m].sites.tolist()]
 
     @pytest.mark.parametrize("ms", [(-1, 0, 1), (1, 0, -1), (-1, 1)])
     @pytest.mark.parametrize(

@@ -73,11 +73,12 @@ class TestLatticeGeometry:
 
     def test_torus_site_enumeration_is_shell_lex(self):
         geo = LatticeGeometry.torus(1, half_side=2)
-        assert list(geo.sites()) == [(0,), (-1,), (1,), (2,)]
+        assert geo.sites().tolist() == [[0], [-1], [1], [2]]
+        assert geo.sites().dtype == np.int64 and not geo.sites().flags.writeable
 
     def test_torus_enumeration_counts(self):
         geo = LatticeGeometry.torus(2, half_side=3)
-        pts = list(geo.sites())
+        pts = list(map(tuple, geo.sites().tolist()))
         assert len(pts) == 36
         assert len(set(pts)) == 36
         radii = [sum(abs(c) for c in p) for p in pts]
@@ -110,18 +111,43 @@ class TestShellsAndBalls:
 
     @pytest.mark.parametrize("d,r", [(1, 6), (2, 5), (3, 4)])
     def test_shell_count_matches_enumeration(self, d, r):
-        ball = ball_sites(d, r)
+        ball = ball_sites(d, r).tolist()
         per_shell = [0] * (r + 1)
         for s in ball:
             per_shell[sum(abs(c) for c in s)] += 1
         assert per_shell == [shell_count(d, k) for k in range(r + 1)]
 
     def test_ball_sites_order_and_content(self):
-        assert ball_sites(1, 2) == ((0,), (-1,), (1,), (-2,), (2,))
-        ball = ball_sites(2, 2)
+        assert ball_sites(1, 2).tolist() == [[0], [-1], [1], [-2], [2]]
+        ball = list(map(tuple, ball_sites(2, 2).tolist()))
         assert len(ball) == 13
         assert ball[0] == (0, 0)
-        assert list(ball) == sorted(ball, key=site_sort_key)
+        assert ball == sorted(ball, key=site_sort_key)
+
+    def test_ball_sites_is_one_cached_read_only_array(self):
+        ball = ball_sites(3, 2)
+        assert ball.dtype == np.int64 and ball.shape == (25, 3)
+        assert len(ball) == 25  # the site count, which the benchmark's trace reads
+        assert not ball.flags.writeable
+        with pytest.raises(ValueError):
+            ball[0, 0] = 7
+        hits = ball_sites.cache_info().hits
+        assert ball_sites(3, 2) is ball
+        assert ball_sites.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize(
+        "dimension, radius",
+        [(1, 2.5), (1, 2.0), (1, True), (True, 2), (2.0, 2), (0, 2), (1, -1), (1, "2")],
+    )
+    def test_ball_sites_rejects_bad_arguments(self, dimension, radius):
+        # cached keys that compare equal (2 == 2.0, 1 == True) must not answer for them
+        ball_sites(1, 2)
+        ball_sites(1, 1)
+        with pytest.raises(DomainError):
+            ball_sites(dimension, radius)
+
+    def test_ball_sites_accepts_numpy_integers(self):
+        assert ball_sites(np.int64(2), np.int32(3)).tolist() == ball_sites(2, 3).tolist()
 
     def test_shell_count_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -148,14 +174,14 @@ class TestPinnedEnumerations:
             expected = _box_enumeration(
                 d, 2 * r + 1, r, lambda q: sum(abs(c) for c in q) <= r
             )
-            assert ball_sites(d, r) == expected
+            assert tuple(map(tuple, ball_sites(d, r).tolist())) == expected
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_torus_sites_match_the_scalar_enumeration(self, d):
         for half_side in range(1, 6):
             geo = LatticeGeometry.torus(d, half_side)
             expected = _box_enumeration(d, 2 * half_side, half_side - 1)
-            assert tuple(geo.sites()) == expected
+            assert tuple(map(tuple, geo.sites().tolist())) == expected
 
 
 class TestDecayProfile:
