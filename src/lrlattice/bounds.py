@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -43,7 +43,6 @@ from .lattice import (
     GeometryMismatchError,
     LatticeGeometry,
     ball_sites,
-    ordered_sum,
 )
 
 __all__ = [
@@ -85,9 +84,6 @@ class DecayCertificate:
     v_a: float
     a0: float
     a1: float
-
-    def as_report(self) -> dict:
-        return asdict(self)
 
 
 class KernelBoundReport(NamedTuple):
@@ -173,7 +169,6 @@ def derive_constants(
     params: HarmonicParameters,
     a: float,
     profile: DecayProfile,
-    mu: float | None = None,
     eta: float = 1.0,
     a1: float | None = None,
 ) -> DecayCertificate:
@@ -191,17 +186,11 @@ def derive_constants(
         raise DomainError(f"profile rate {profile.rate} does not match a = {a}")
     if profile.dimension != params.dimension:
         raise GeometryMismatchError("profile and parameters disagree on dimension")
-    if mu is None:
-        if not eta > 0:
-            raise DomainError("eta must be positive")
-        mu = a + eta
-    if not mu > a:
-        raise DomainError(
-            f"mu = {mu} must exceed a = {a}: the envelope exp(-mu r) can only "
-            "dominate exp(-a r) times a polynomial if mu - a > 0"
-        )
-    slack = mu - a
-    conversion = _profile_conversion(profile.power, slack)
+    if not eta > 0:
+        raise DomainError("eta must be positive")
+    mu = a + eta
+    # mu - a rather than eta: the slack that the rounded mu actually has.
+    conversion = _profile_conversion(profile.power, mu - a)
     prefactor = envelope_prefactor(params, mu)
     speed = envelope_speed(params, mu)
     ceiling = max(MU_GRID) - eta if eta < max(MU_GRID) else 0.0
@@ -228,7 +217,7 @@ def pair_sum(f: Field, g: Field, profile: DecayProfile) -> float:
     for x, fx in f.items_sorted():
         for y, gy in g.items_sorted():
             terms.append(abs(fx) * abs(gy) * profile.value(geometry.distance(x, y)))
-    return ordered_sum(terms)
+    return math.fsum(terms)
 
 
 def harmonic_bound_rhs(
@@ -238,13 +227,14 @@ def harmonic_bound_rhs(
     return cert.c_a * math.exp(cert.v_a * abs(t)) * pair_sum(f, g, profile)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeScan:
     """Commutator norms of evolved W(delta_0) against single-site probes.
 
     values[i, j] is the larger of the two commutator norms obtained by
     probing with delta_x and i*delta_x at site j and time t_grid[i]; both
-    phases of the evolved label are exercised that way.
+    phases of the evolved label are exercised that way.  Two scans are
+    equal only if they are the same object.
     """
 
     params: HarmonicParameters
@@ -320,19 +310,19 @@ def cone_scan(
     )
 
 
-def estimate_velocity(scan: ConeScan, threshold: float | None = None) -> VelocityFit:
+def estimate_velocity(scan: ConeScan) -> VelocityFit:
     """Least-squares front velocity from threshold crossings of the scan.
 
     The front at each time is the first radius past which every shell
-    maximum stays below the threshold.  Commutator values oscillate through
-    incidental dips inside the cone, so the outermost crossing is the one
-    that tracks the propagation front; it also errs toward larger fronts,
-    which overestimates the velocity and keeps the comparison against the
-    certified bound conservative.  Slices with no value above the threshold
-    carry no front, and slices still above it at the scan edge are cut off;
-    both are skipped.
+    maximum stays below ``scan.threshold``.  Commutator values oscillate
+    through incidental dips inside the cone, so the outermost crossing is
+    the one that tracks the propagation front; it also errs toward larger
+    fronts, which overestimates the velocity and keeps the comparison
+    against the certified bound conservative.  Slices with no value above
+    the threshold carry no front, and slices still above it at the scan
+    edge are cut off; both are skipped.
     """
-    theta = scan.threshold if threshold is None else float(threshold)
+    theta = scan.threshold
     if not 0.0 < theta < 2.0:
         raise DomainError("threshold must lie strictly between 0 and 2")
     radii, shells = scan.shell_values()
@@ -360,7 +350,6 @@ def spot_check_certificate(
     support_radius: int = 4,
     t_max: float = 1.0,
     seed: int = 0,
-    tolerance: float = 1e-10,
 ) -> float:
     """Largest ratio |sigma(T_t f, g)| / certified RHS over random triples.
 
@@ -376,7 +365,7 @@ def spot_check_certificate(
         t = float(rng.uniform(-t_max, t_max))
         f = _random_field(rng, geometry, sites)
         g = _random_field(rng, geometry, sites)
-        moved = apply_propagator_convolution(f, params, t, tolerance=tolerance)
+        moved = apply_propagator_convolution(f, params, t)
         lhs = abs(symplectic_form(moved, g))
         rhs = harmonic_bound_rhs(f, g, t, cert, profile)
         worst = max(worst, lhs / rhs)

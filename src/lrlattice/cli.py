@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -529,7 +530,7 @@ def _run_cone(s: dict):
     return violated, header, rows, {
         "velocity": fit.v_emp,
         "fit_residual": fit.fit_residual,
-        "certificate": cert.as_report(),
+        "certificate": asdict(cert),
         "bound_satisfied": not violated,
         "worst_point": worst,
         "rows": _records(header, rows),
@@ -569,7 +570,7 @@ def _run_bounds(s: dict):
         "max_ratio": max_ratio,
         "worst_point": worst,
         "per_mu": _records(header, rows),
-        "certificate": cert.as_report(),
+        "certificate": asdict(cert),
         "spot_check_ratio": spot,
         "bound_satisfied": not violated,
     }
@@ -667,7 +668,7 @@ def _run_converge(s: dict):
             "convolution_constant": conv.value,
             "convolution_converged": conv.converged,
         },
-        "certificate": cert.as_report(),
+        "certificate": asdict(cert),
         "tails": _records(header, tails),
         "monotone": monotone,
     }

@@ -32,8 +32,6 @@ __all__ = [
     "TruncationLeakageError",
     "FockConfig",
     "DenseOperator",
-    "SiteOperators",
-    "build_site_operators",
     "build_hamiltonian",
     "hamiltonian_spectrum",
     "weyl_matrix",
@@ -67,10 +65,11 @@ class FockConfig:
     params: HarmonicParameters
 
     def __post_init__(self):
-        if not 1 <= self.sites <= 3:
-            raise DomainError("the oracle handles 1 to 3 sites")
-        if self.cutoff < 6:
-            raise DomainError("cutoff below 6 leaves no room for leakage accounting")
+        if not _is_int(self.sites) or not 1 <= self.sites <= 3:
+            raise DomainError(f"sites must be an integer from 1 to 3, got {self.sites!r}")
+        if not _is_int(self.cutoff) or self.cutoff < 6:
+            # below 6 there is no room for the leakage check past cutoff - 5
+            raise DomainError(f"cutoff must be an integer of at least 6, got {self.cutoff!r}")
         if self.params.dimension != 1:
             raise DomainError("the oracle chain is one-dimensional")
         if self.dimension > MAX_DIMENSION:
@@ -100,34 +99,15 @@ class DenseOperator:
             raise DomainError("operator entries must be finite")
         object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def identity(cls, dim: int) -> "DenseOperator":
-        return cls(np.eye(dim))
-
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def adjoint(self) -> "DenseOperator":
-        return DenseOperator(self.entries.conj().T)
-
     def norm(self) -> float:
         return _spectral_norm(self.entries)
 
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
-    def __add__(self, other: "DenseOperator") -> "DenseOperator":
-        return DenseOperator(self.entries + other.entries)
-
     def __sub__(self, other: "DenseOperator") -> "DenseOperator":
         return DenseOperator(self.entries - other.entries)
-
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        return DenseOperator(self.entries @ other.entries)
-
-    def scaled(self, factor: complex) -> "DenseOperator":
-        return DenseOperator(factor * self.entries)
 
 
 def _spectral_norm(matrix: np.ndarray) -> float:
@@ -186,30 +166,6 @@ def _embed(factor: np.ndarray, site: int, sites: int, cutoff: int) -> np.ndarray
     for position in range(sites):
         out = np.kron(out, factor if position == site else eye)
     return out
-
-
-@dataclass(frozen=True)
-class SiteOperators:
-    q: DenseOperator
-    p: DenseOperator
-    a: DenseOperator
-    a_dag: DenseOperator
-
-
-def build_site_operators(config: FockConfig) -> tuple[SiteOperators, ...]:
-    """Embedded position, momentum, and ladder matrices for every site."""
-    a, q_site, p_site = _site_matrices(config.cutoff)
-    out = []
-    for site in range(config.sites):
-        out.append(
-            SiteOperators(
-                q=DenseOperator(_embed(q_site, site, config.sites, config.cutoff)),
-                p=DenseOperator(_embed(p_site, site, config.sites, config.cutoff)),
-                a=DenseOperator(_embed(a, site, config.sites, config.cutoff)),
-                a_dag=DenseOperator(_embed(a.T, site, config.sites, config.cutoff)),
-            )
-        )
-    return tuple(out)
 
 
 def build_hamiltonian(config: FockConfig) -> DenseOperator:
@@ -603,7 +559,9 @@ def diagonalization_defect(config: FockConfig) -> float:
     if config.params.is_massless:
         raise SingularModeError("the k = 0 mode has no normal form when omega = 0")
     n, cutoff = config.sites, config.cutoff
-    site_ops = build_site_operators(config)
+    _, q_site, p_site = _site_matrices(cutoff)
+    q_sites = [_embed(q_site, x, n, cutoff) for x in range(n)]
+    p_sites = [_embed(p_site, x, n, cutoff) for x in range(n)]
     dim = config.dimension
 
     check = np.zeros((dim, dim), dtype=complex)
@@ -614,8 +572,8 @@ def diagonalization_defect(config: FockConfig) -> float:
         p_k = np.zeros((dim, dim), dtype=complex)
         for x in range(n):
             phase = np.exp(-1j * k * x) / math.sqrt(n)
-            q_k += phase * site_ops[x].q.entries
-            p_k += phase * site_ops[x].p.entries
+            q_k += phase * q_sites[x]
+            p_k += phase * p_sites[x]
         b_k = (math.sqrt(g) * q_k + 1j / math.sqrt(g) * p_k) / math.sqrt(2.0)
         check += g * (2.0 * (b_k.conj().T @ b_k) + np.eye(dim))
 

@@ -31,10 +31,10 @@ from .lattice import (
     LatticeGeometry,
     Site,
     _coordinates,
+    _is_int,
     _site_keys,
     _torus_sites,
     ball_sites,
-    ordered_sum,
     shell_count,
 )
 
@@ -64,6 +64,9 @@ __all__ = [
 # Default grid of exponential envelope rates used when optimizing truncation
 # windows and decay certificates.
 MU_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+# Grid doublings a kernel quadrature may take past its starting grid.
+MAX_REFINEMENTS = 6
 
 
 class SingularModeError(ArithmeticError):
@@ -312,10 +315,10 @@ class Field:
         return np.hypot(self._values.real, self._values.imag).tolist()
 
     def norm_l1(self) -> float:
-        return ordered_sum(self._moduli())
+        return math.fsum(self._moduli())
 
     def norm_l2(self) -> float:
-        return math.sqrt(ordered_sum(m**2 for m in self._moduli()))
+        return math.sqrt(math.fsum(m**2 for m in self._moduli()))
 
     def inner(self, other: "Field") -> complex:
         """Inner product, antilinear in self; each part is an exactly rounded sum."""
@@ -324,7 +327,7 @@ class Field:
         fr, fi, gr, gi = f.real[both], f.imag[both], g.real[both], g.imag[both]
         # Python's f.conjugate() * g per site, in real parts as in __mul__.
         return complex(
-            ordered_sum((fr * gr + fi * gi).tolist()), ordered_sum((fr * gi - fi * gr).tolist())
+            math.fsum((fr * gr + fi * gi).tolist()), math.fsum((fr * gi - fi * gr).tolist())
         )
 
     def max_abs_diff(self, other: "Field") -> float:
@@ -333,7 +336,7 @@ class Field:
         return float(np.hypot(diff.real, diff.imag).max(initial=0.0))
 
     def mean_real(self) -> float:
-        return float(ordered_sum(self._values.real.tolist()))
+        return float(math.fsum(self._values.real.tolist()))
 
     def __repr__(self):
         n = len(self._values)
@@ -364,28 +367,29 @@ class QuadratureSpec:
     """Controls Brillouin-zone quadrature refinement.
 
     ``points_per_axis`` is the starting grid (kept even so the half-cell
-    offset never lands on k = 0); grids double until two successive ones
-    agree to ``refinement_tolerance`` in the max norm over the window.
+    offset never lands on k = 0); grids double, at most
+    :data:`MAX_REFINEMENTS` times, until two successive ones agree to
+    ``refinement_tolerance`` in the max norm over the window.
     """
 
     points_per_axis: int = 64
     refinement_tolerance: float = 1e-10
-    max_refinements: int = 6
 
     def __post_init__(self):
-        if self.points_per_axis < 8:
-            raise DomainError("points_per_axis must be at least 8")
+        if not _is_int(self.points_per_axis) or self.points_per_axis < 8:
+            raise DomainError(
+                f"points_per_axis must be an integer of at least 8, got {self.points_per_axis!r}"
+            )
         if not self.refinement_tolerance > 0:
             raise DomainError("refinement tolerance must be positive")
-        if self.max_refinements < 1:
-            raise DomainError("max_refinements must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
     """Sampled propagation kernel on the l1 ball |x| <= window_radius.
 
     Treat instances as immutable: ``samples`` is shared by cached lookups.
+    Two kernels are equal only if they are the same object.
     """
 
     m: int
@@ -488,7 +492,7 @@ def compute_kernels(
     while points < 2 * (window_radius + 1):
         points *= 2
     # Without one refinement there is no error estimate, so fail before
-    # sampling (QuadratureSpec already guarantees max_refinements >= 1).
+    # sampling.
     if 2 * points > max_points:
         raise QuadratureConvergenceError(
             f"kernel window {window_radius} needs a starting grid of {points} points "
@@ -503,7 +507,7 @@ def compute_kernels(
     stopped = dict.fromkeys(samples, points)
     active = list(samples)
     refinements = 0
-    while active and refinements < quad.max_refinements and 2 * points <= max_points:
+    while active and refinements < MAX_REFINEMENTS and 2 * points <= max_points:
         points *= 2
         refinements += 1
         for m, cur in _kernel_samples(params, t, sites, points, active).items():
@@ -621,17 +625,17 @@ def certified_window(
     t: float,
     tolerance: float,
     l1_norm: float = 1.0,
-    max_window: int = 4096,
 ) -> int:
     """Smallest truncation radius whose envelope tail is below tolerance.
 
     The certificate guarantees that dropping all kernel mass outside the
     returned l1 ball changes the propagated field by at most ``tolerance``
     in l1 norm, for inputs of the given l1 size.  The envelope rate is
-    optimized over :data:`MU_GRID`.
+    optimized over :data:`MU_GRID`, and radii up to 4096 are searched.
     """
     if not tolerance > 0:
         raise DomainError("tolerance must be positive")
+    max_window = 4096
     budget = tolerance / max(l1_norm, 1e-300)
     best = None
     for mu in MU_GRID:
@@ -763,7 +767,6 @@ def apply_propagator_convolution(
     t: float,
     tolerance: float = 1e-10,
     window: int | None = None,
-    quad: QuadratureSpec | None = None,
 ) -> Field:
     """Evolve a finitely supported label on Z^d by certified convolution.
 
@@ -800,14 +803,8 @@ def apply_propagator_convolution(
     out_radius = window + spread
     ker_radius = window + 2 * spread
 
-    quad = quad or QuadratureSpec()
-    ker_tol = min(quad.refinement_tolerance, tolerance / (6.0 * max(l1, 1.0)))
-    quad = QuadratureSpec(
-        points_per_axis=quad.points_per_axis,
-        refinement_tolerance=ker_tol,
-        max_refinements=quad.max_refinements,
-    )
-    kernels = compute_kernels(params, t, ker_radius, quad)
+    ker_tol = min(QuadratureSpec.refinement_tolerance, tolerance / (6.0 * max(l1, 1.0)))
+    kernels = compute_kernels(params, t, ker_radius, QuadratureSpec(refinement_tolerance=ker_tol))
     box0 = _assemble_kernel_box(kernels[0])
     boxm = _assemble_kernel_box(kernels[-1])
     boxp = _assemble_kernel_box(kernels[1])

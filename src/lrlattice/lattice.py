@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -34,7 +34,6 @@ __all__ = [
     "shell_count",
     "ball_sites",
     "site_sort_key",
-    "ordered_sum",
 ]
 
 Site = tuple[int, ...]
@@ -46,16 +45,6 @@ class DomainError(ValueError):
 
 class GeometryMismatchError(ValueError):
     """Two objects that must share a lattice geometry do not."""
-
-
-def ordered_sum(terms: Iterable[float]) -> float:
-    """Sum terms without cancellation error.
-
-    Terms are produced in a fixed (shell, lexicographic) order throughout
-    this module; the reduction itself is exactly rounded, so results do not
-    depend on chunking or thread count.
-    """
-    return math.fsum(terms)
 
 
 def _is_int(x) -> bool:
@@ -83,19 +72,21 @@ class LatticeGeometry:
     ``half_side`` set means torus mode with ``2 * half_side`` sites per
     axis.  ``window_radius`` is bookkeeping for the infinite mode: the
     radius inside which scans and truncated fields are expected to live.
+    Nothing reads it, so it takes no part in equality: fields on two
+    windows of Z^d share one geometry.
     """
 
     dimension: int
     half_side: int | None = None
-    window_radius: int | None = None
+    window_radius: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise DomainError("dimension must be a positive integer")
-        if self.half_side is not None and self.half_side < 1:
-            raise DomainError("torus half side must be a positive integer")
-        if self.window_radius is not None and self.window_radius < 1:
-            raise DomainError("window radius must be a positive integer")
+        if not _is_int(self.dimension) or self.dimension < 1:
+            raise DomainError(f"dimension must be a positive integer, got {self.dimension!r}")
+        for name in ("half_side", "window_radius"):
+            value = getattr(self, name)
+            if value is not None and (not _is_int(value) or value < 1):
+                raise DomainError(f"{name} must be a positive integer or None, got {value!r}")
 
     @classmethod
     def infinite(cls, dimension: int, window_radius: int | None = None) -> "LatticeGeometry":
@@ -129,13 +120,6 @@ class LatticeGeometry:
                 if not (-L < c <= L):
                     raise DomainError(f"coordinate {c} outside torus range (-{L}, {L}]")
         return x
-
-    def wrap(self, x) -> Site:
-        """Map integer coordinates onto the torus range (-L, L]."""
-        if self.half_side is None:
-            return self.site(x)
-        L = self.half_side
-        return tuple((c - L - 1) % (2 * L) - L + 1 for c in _coordinates(x))
 
     def distance(self, x, y) -> int:
         """l1 distance between two sites (quotient metric on a torus)."""
@@ -184,11 +168,16 @@ def _site_keys(sites: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _sorted_cube(dimension: int, lo: int, hi: int) -> np.ndarray:
-    """All sites of [lo, hi]^d as an (n, d) array, ordered as ``site_sort_key`` does."""
+def _cube(dimension: int, lo: int, hi: int) -> np.ndarray:
+    """All sites of [lo, hi]^d as an (n, d) array, in row-major order."""
     axis = np.arange(lo, hi + 1)
     cube = np.stack(np.meshgrid(*(axis,) * dimension, indexing="ij"), axis=-1)
-    cube = cube.reshape(-1, dimension)
+    return cube.reshape(-1, dimension)
+
+
+def _sorted_cube(dimension: int, lo: int, hi: int) -> np.ndarray:
+    """All sites of [lo, hi]^d as an (n, d) array, ordered as ``site_sort_key`` does."""
+    cube = _cube(dimension, lo, hi)
     return cube[np.argsort(_site_keys(cube), kind="stable")]
 
 
@@ -200,13 +189,13 @@ def _torus_sites(dimension: int, half_side: int) -> np.ndarray:
     return sites
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 16, typed=True)
 def shell_count(dimension: int, radius: int) -> int:
     """Number of points of Z^d at exact l1 distance ``radius`` from 0."""
-    if dimension < 1:
-        raise DomainError("dimension must be a positive integer")
-    if radius < 0:
-        raise DomainError("radius must be nonnegative")
+    if not _is_int(dimension) or dimension < 1:
+        raise DomainError(f"dimension must be a positive integer, got {dimension!r}")
+    if not _is_int(radius) or radius < 0:
+        raise DomainError(f"radius must be a nonnegative integer, got {radius!r}")
     if radius == 0:
         return 1
     total = 0
@@ -243,8 +232,8 @@ class DecayProfile:
     rate: float = 0.0
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise DomainError("dimension must be a positive integer")
+        if not _is_int(self.dimension) or self.dimension < 1:
+            raise DomainError(f"dimension must be a positive integer, got {self.dimension!r}")
         if not self.epsilon > 0:
             raise DomainError("epsilon must be positive")
         if self.rate < 0:
@@ -262,9 +251,6 @@ class DecayProfile:
         if out.ndim == 0:
             return float(out)
         return out
-
-    def with_rate(self, rate: float) -> "DecayProfile":
-        return DecayProfile(self.dimension, self.epsilon, rate)
 
 
 class UniformNorm(NamedTuple):
@@ -288,10 +274,10 @@ def uniform_norm(profile: DecayProfile, window: int) -> UniformNorm:
 
         value <= ||F_a|| <= value + tail_bound.
     """
-    if window < 0:
-        raise DomainError("window must be nonnegative")
+    if not _is_int(window) or window < 0:
+        raise DomainError(f"window must be a nonnegative integer, got {window!r}")
     d, a = profile.dimension, profile.rate
-    value = ordered_sum(
+    value = math.fsum(
         shell_count(d, r) * profile.value(r) for r in range(window + 1)
     )
     env = _shell_weight_envelope(d)
@@ -327,28 +313,26 @@ def _convolution_value(profile: DecayProfile, window: int) -> tuple[float, Site]
     for s in seps.tolist():
         dist = np.abs(pts - np.asarray(s, dtype=np.int64)).sum(axis=1)
         terms = fz * table[dist]
-        ratio = ordered_sum(terms.tolist()) / table[sum(abs(c) for c in s)]
+        ratio = math.fsum(terms.tolist()) / table[sum(abs(c) for c in s)]
         if ratio > best:
             best = ratio
             best_sep = tuple(s)
     return best, best_sep
 
 
-def convolution_constant(
-    profile: DecayProfile, window: int, stabilization_rtol: float = 1e-3
-) -> ConvolutionConstant:
+def convolution_constant(profile: DecayProfile, window: int) -> ConvolutionConstant:
     """Empirical convolution constant of the decay profile.
 
     Maximizes sum_z F_a(|z|) F_a(|s - z|) / F_a(|s|) over separations
     |s| <= window, with z running over the ball of radius 2 * window.  The
     result is compared against the half-window computation; ``converged``
-    reports whether the two agree to ``stabilization_rtol`` relative.
+    reports whether the two agree to 1e-3 relative.
     """
-    if window < 2:
-        raise DomainError("window must be at least 2")
+    if not _is_int(window) or window < 2:
+        raise DomainError(f"window must be an integer of at least 2, got {window!r}")
     value, worst = _convolution_value(profile, window)
     half_value, _ = _convolution_value(profile, window // 2)
-    converged = abs(value - half_value) <= stabilization_rtol * abs(value)
+    converged = abs(value - half_value) <= 1e-3 * abs(value)
     return ConvolutionConstant(
         value=value,
         window=window,

@@ -19,7 +19,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -31,8 +30,8 @@ from .lattice import (
     DomainError,
     GeometryMismatchError,
     LatticeGeometry,
+    _cube,
     _is_int,
-    ordered_sum,
     site_sort_key,
 )
 
@@ -121,7 +120,7 @@ class AtomicWeylMeasure:
                 yield tuple(-v for v in z), weight
 
     def total_mass(self) -> float:
-        return ordered_sum(w for _, w in self.iter_atoms())
+        return math.fsum(w for _, w in self.iter_atoms())
 
     def component(self, site) -> int:
         try:
@@ -168,7 +167,10 @@ class VolumeSequence:
     boxes: tuple
 
     def __post_init__(self):
-        boxes = tuple(int(b) for b in self.boxes)
+        boxes = tuple(self.boxes)
+        if not all(map(_is_int, boxes)):
+            raise DomainError(f"half-sides must be integers, got {boxes!r}")
+        boxes = tuple(map(int, boxes))
         if len(boxes) == 0:
             raise DomainError("volume sequence cannot be empty")
         if boxes[0] < 1 or any(b >= c for b, c in zip(boxes, boxes[1:])):
@@ -192,7 +194,7 @@ def second_moment(family: PerturbationFamily) -> float:
                 "for multi-site supports"
             )
         site = measure.sites[0]
-        total = ordered_sum(abs(z[0]) ** 2 * w for z, w in measure.iter_atoms())
+        total = math.fsum(abs(z[0]) ** 2 * w for z, w in measure.iter_atoms())
         per_site[site] = per_site.get(site, 0.0) + total
     return max(per_site.values(), default=0.0)
 
@@ -217,8 +219,8 @@ def pair_moment(family: PerturbationFamily, profile: DecayProfile, window: int) 
     family attains its maximum (kappa / F_a(0) = kappa).  The convergence
     flag compares against the half-window supremum.
     """
-    if window < 0:
-        raise DomainError("window must be nonnegative")
+    if not _is_int(window) or window < 0:
+        raise DomainError(f"window must be a nonnegative integer, got {window!r}")
     if profile.dimension != family.geometry.dimension:
         raise GeometryMismatchError("profile dimension does not match the family geometry")
     numerators = _pair_numerators(family)
@@ -241,7 +243,7 @@ def first_moment(family: PerturbationFamily) -> float:
     per_site: dict = {}
     for measure in family.measures:
         for i, site in enumerate(measure.sites):
-            total = ordered_sum(abs(z[i]) * w for z, w in measure.iter_atoms())
+            total = math.fsum(abs(z[i]) * w for z, w in measure.iter_atoms())
             per_site[site] = per_site.get(site, 0.0) + total
     return max(per_site.values(), default=0.0)
 
@@ -277,21 +279,9 @@ def perturbed_bound(
     return cert.c_a * math.exp(rate * abs(t)) * pair_sum(f, g, profile)
 
 
-def _box_shell(dimension: int, outer: int, inner: int) -> list:
-    """Sites of (-outer, outer]^d not in (-inner, inner]^d."""
-    def inside(site, half):
-        return all(-half < c <= half for c in site)
-
-    shell = []
-    for site in product(range(-outer + 1, outer + 1), repeat=dimension):
-        if not inside(site, inner):
-            shell.append(site)
-    return shell
-
-
 def _tail_value(
     f: Field,
-    shell,
+    shell: np.ndarray,
     t: float,
     moment: float,
     cert: DecayCertificate,
@@ -302,15 +292,15 @@ def _tail_value(
 ) -> float:
     if moment < 0:
         raise DomainError("first moment must be nonnegative")
-    if not shell:
+    if len(shell) == 0:
         return 0.0
     rate = _perturbed_rate(cert, kappa_a, conv_constant, onsite)
-    shell_arr = np.asarray(shell, dtype=np.int64)
     terms = []
     for x, fx in f.items_sorted():
-        dists = np.abs(shell_arr - np.asarray(x, dtype=np.int64)).sum(axis=1)
+        dists = np.abs(shell - np.asarray(x, dtype=np.int64)).sum(axis=1)
+        # fsum is exactly rounded, so the order of the shell sites does not matter.
         terms.append(abs(fx) * float(math.fsum(profile.value(dists))))
-    reach = ordered_sum(terms)
+    reach = math.fsum(terms)
     return moment * cert.c_a * abs(t) * math.exp(rate * abs(t)) * reach
 
 
@@ -343,7 +333,9 @@ def convergence_tail(
     for site in f.support():
         if not all(-inner < c <= inner for c in site):
             raise DomainError(f"label site {site} lies outside the inner box {inner}")
-    shell = _box_shell(f.geometry.dimension, seq.boxes[n], inner)
+    # The shell is the box (-outer, outer]^d with the inner box masked out.
+    box = _cube(f.geometry.dimension, 1 - seq.boxes[n], seq.boxes[n])
+    shell = box[~((box > -inner) & (box <= inner)).all(axis=1)]
     return _tail_value(f, shell, t, moment, cert, kappa_a, conv_constant, profile, onsite)
 
 
@@ -366,7 +358,7 @@ def convergence_tail_sets(
         raise DomainError("inner sites must be contained in the outer sites")
     if not set(f.support()) <= inner:
         raise DomainError("label must be supported inside the inner site set")
-    shell = sorted(outer - inner, key=site_sort_key)
+    shell = np.array(sorted(outer - inner, key=site_sort_key), dtype=np.int64)
     return _tail_value(f, shell, t, moment, cert, kappa_a, conv_constant, profile, onsite)
 
 

@@ -1,6 +1,7 @@
 """Envelope verification, decay certificates, and cone scans."""
 
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -90,12 +91,14 @@ class TestDecayCertificate:
         assert cert.c_a == pytest.approx(20.676227085458457, rel=1e-9)
         assert cert.v_a == pytest.approx(33.04486345353669, rel=1e-12)
 
-    def test_explicit_mu_override(self):
+    def test_mu_is_a_plus_eta(self):
         profile = DecayProfile(1, epsilon=1.0, rate=0.5)
-        cert = derive_constants(CHAIN, 0.5, profile, mu=4.0)
+        cert = derive_constants(CHAIN, 0.5, profile, eta=3.5)
         assert cert.mu == 4.0
-        with pytest.raises(DomainError):
-            derive_constants(CHAIN, 0.5, profile, mu=0.5)
+        assert cert.v_a == 4.0 * envelope_speed(CHAIN, 4.0)
+        for eta in (0.0, -1.0):
+            with pytest.raises(DomainError, match="eta"):
+                derive_constants(CHAIN, 0.5, profile, eta=eta)
 
     def test_profile_rate_must_match(self):
         profile = DecayProfile(1, epsilon=1.0, rate=0.25)
@@ -110,7 +113,7 @@ class TestDecayCertificate:
     def test_report_round_trip(self):
         profile = DecayProfile(1, epsilon=1.0, rate=1.0)
         cert = derive_constants(CHAIN, 1.0, profile)
-        report = cert.as_report()
+        report = asdict(cert)
         assert report["c_a"] == cert.c_a
         assert report["mu"] == cert.mu
         # the key order is the order the CLI reports print
@@ -171,8 +174,8 @@ class TestConeScan:
 
     def test_threshold_stability_of_the_fit(self):
         scan = cone_scan(MASSLESS, 28, tuple(range(1, 9)))
-        tight = estimate_velocity(scan, threshold=0.1)
-        loose = estimate_velocity(scan, threshold=0.01)
+        tight = estimate_velocity(scan)
+        loose = estimate_velocity(replace(scan, threshold=0.01))
         assert abs(tight.v_emp - loose.v_emp) <= 0.2
         assert 1.8 <= loose.v_emp <= 2.2
 
@@ -225,6 +228,13 @@ class TestVelocityEstimation:
         scan = self._synthetic(6, (1.0, 2.0), lambda t: 2.0 * t - 1.0)
         with pytest.raises(DomainError):
             estimate_velocity(scan)
+
+    def test_scans_compare_by_identity(self):
+        # array fields have no single truth value, so a field-wise __eq__ would raise
+        a = self._synthetic(6, (1.0, 2.0), lambda t: t)
+        b = self._synthetic(6, (1.0, 2.0), lambda t: t)
+        assert a == a
+        assert a != b
 
     def test_all_quiet_raises(self):
         sites = ball_sites(1, 5)

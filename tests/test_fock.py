@@ -22,7 +22,6 @@ from lrlattice import (
     WeylOperator,
     apply_propagator_torus,
     build_hamiltonian,
-    build_site_operators,
     commutator_norm,
     commutator_oracle,
     cosine_family,
@@ -38,7 +37,7 @@ from lrlattice import (
     weyl_matrix,
 )
 from lrlattice import fock
-from lrlattice.fock import _conjugate, _hamiltonian_eigh
+from lrlattice.fock import _conjugate, _embed, _hamiltonian_eigh, _site_matrices
 
 CHAIN = HarmonicParameters(omega=1.0, couplings=(1.0,))
 DECOUPLED = HarmonicParameters(omega=1.0, couplings=(0.0,))
@@ -46,6 +45,16 @@ MASSLESS = HarmonicParameters(omega=0.0, couplings=(1.0,))
 
 GEO = LatticeGeometry.infinite(1, window_radius=4)
 RING2 = LatticeGeometry.torus(1, 1)
+
+
+def identity(dim):
+    return DenseOperator(np.eye(dim))
+
+
+def site_q_p(config, site):
+    """Position and momentum of one site, embedded in the product space."""
+    _, q, p = _site_matrices(config.cutoff)
+    return tuple(_embed(m, site, config.sites, config.cutoff) for m in (q, p))
 
 
 class TestFockConfig:
@@ -79,40 +88,39 @@ class TestDenseOperator:
         with pytest.raises(DomainError):
             DenseOperator(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    def test_algebra_helpers(self):
-        a = DenseOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert a.hermiticity_defect() == 1.0
-        assert (a + a.adjoint()).hermiticity_defect() == 0.0
-        assert a.scaled(3.0).norm() == pytest.approx(3.0)
-        eye = DenseOperator.identity(2)
-        assert (a @ eye - a).norm() == 0.0
+    def test_difference_and_norm(self):
+        a = DenseOperator(np.array([[0.0, 3.0], [0.0, 0.0]]))
+        assert a.norm() == pytest.approx(3.0)
+        assert (a - a).norm() == 0.0
+        assert (a - identity(2)).entries.tolist() == [[-1.0, 3.0], [0.0, -1.0]]
 
 
 class TestCanonicalPairs:
     def test_commutation_relation_below_the_edge(self):
         config = FockConfig(1, 12, CHAIN)
-        ops = build_site_operators(config)[0]
-        commutator = ops.q @ ops.p - ops.p @ ops.q
-        defect = commutator - DenseOperator(1j * np.eye(config.dimension))
+        q, p = site_q_p(config, 0)
+        defect = DenseOperator(q @ p - p @ q - 1j * np.eye(config.dimension))
         # the truncation only corrupts the top number state
         assert restricted_norm(config, defect, occupation_cap=11) < 1e-13
 
     def test_cross_site_operators_commute(self):
         config = FockConfig(2, 8, CHAIN)
-        ops = build_site_operators(config)
-        cross = ops[0].q @ ops[1].p - ops[1].p @ ops[0].q
-        assert cross.norm() == 0.0
+        q0, _ = site_q_p(config, 0)
+        _, p1 = site_q_p(config, 1)
+        assert np.array_equal(q0 @ p1, p1 @ q0)
 
-    def test_position_from_ladders(self):
-        config = FockConfig(1, 10, CHAIN)
-        ops = build_site_operators(config)[0]
-        rebuilt = (ops.a + ops.a_dag).scaled(1.0 / math.sqrt(2.0))
-        assert (rebuilt - ops.q).norm() < 1e-15
+    def test_position_and_momentum_from_ladders(self):
+        a = np.diag(np.sqrt(np.arange(1.0, 11.0)), 1)
+        ladder, q, p = _site_matrices(10)
+        assert np.array_equal(ladder, a)
+        assert np.max(np.abs((a + a.T) / math.sqrt(2.0) - q)) < 1e-15
+        assert np.max(np.abs(-1j * (a - a.T) / math.sqrt(2.0) - p)) < 1e-15
 
 
 class TestHamiltonian:
     def test_exactly_symmetric(self):
-        assert build_hamiltonian(FockConfig(2, 12, CHAIN)).hermiticity_defect() == 0.0
+        h = build_hamiltonian(FockConfig(2, 12, CHAIN)).entries
+        assert np.array_equal(h, h.T)
 
     def test_single_oscillator_levels(self):
         config = FockConfig(1, 40, CHAIN)
@@ -143,17 +151,17 @@ class TestHamiltonian:
 class TestWeylMatrix:
     def test_unitarity(self):
         config = FockConfig(2, 16, CHAIN)
-        w = weyl_matrix(config, Field.delta(GEO, (0,), 0.3 - 0.2j))
-        defect = (w.adjoint() @ w - DenseOperator.identity(config.dimension)).entries
+        w = weyl_matrix(config, Field.delta(GEO, (0,), 0.3 - 0.2j)).entries
+        defect = w.conj().T @ w - np.eye(config.dimension)
         assert np.max(np.abs(defect)) < 1e-12
 
     def test_weyl_product_relation_on_matrices(self):
         config = FockConfig(2, 24, CHAIN)
         f = Field.delta(GEO, (0,), 0.3)
         g = Field.delta(GEO, (1,), 0.2 - 0.1j)
-        lhs = weyl_matrix(config, f) @ weyl_matrix(config, g)
+        lhs = DenseOperator(weyl_matrix(config, f).entries @ weyl_matrix(config, g).entries)
         phase = cmath.exp(-0.5j * symplectic_form(f, g))
-        rhs = weyl_matrix(config, f + g).scaled(phase)
+        rhs = DenseOperator(phase * weyl_matrix(config, f + g).entries)
         assert restricted_norm(config, lhs - rhs) < 1e-12
 
     def test_leakage_gate(self):
@@ -234,7 +242,7 @@ class TestEigenbasisConjugation:
         evals, evecs = np.linalg.eigh(h)
         observables = [
             weyl_matrix(config, Field.delta(GEO, (0,), 0.15 + 0.03j)).entries,
-            build_site_operators(config)[1].q.entries,
+            site_q_p(config, 1)[0],
         ]
         for matrix in observables:
             for t in (0.0, 0.7, -1.3):
@@ -271,19 +279,20 @@ class TestHeisenbergEvolution:
         w = weyl_matrix(config, Field.delta(GEO, (0,), 0.2))
         evolved = heisenberg_evolve(config, w, 0.7)
         assert evolved.norm() == pytest.approx(w.norm(), abs=1e-12)
-        defect = evolved.adjoint() @ evolved - DenseOperator.identity(config.dimension)
+        moved = evolved.entries
+        defect = DenseOperator(moved.conj().T @ moved - np.eye(config.dimension))
         assert defect.norm() < 1e-11
 
     def test_dimension_guard(self):
         config = FockConfig(2, 10, CHAIN)
         with pytest.raises(DomainError):
-            heisenberg_evolve(config, DenseOperator.identity(4), 1.0)
+            heisenberg_evolve(config, identity(4), 1.0)
 
 
 class TestRestrictedNorm:
     def test_identity_restricts_to_one(self):
         config = FockConfig(2, 10, CHAIN)
-        assert restricted_norm(config, DenseOperator.identity(config.dimension)) == 1.0
+        assert restricted_norm(config, identity(config.dimension)) == 1.0
 
     def test_restriction_never_exceeds_the_full_norm(self):
         config = FockConfig(2, 10, CHAIN)
@@ -293,19 +302,19 @@ class TestRestrictedNorm:
 
     def test_cap_guards(self):
         config = FockConfig(2, 10, CHAIN)
-        eye = DenseOperator.identity(config.dimension)
+        eye = identity(config.dimension)
         with pytest.raises(DomainError):
             restricted_norm(config, eye, occupation_cap=-1)
         with pytest.raises(DomainError):
             restricted_norm(config, eye, occupation_cap=21)
         with pytest.raises(DomainError):
-            restricted_norm(config, DenseOperator.identity(4))
+            restricted_norm(config, identity(4))
 
     @pytest.mark.parametrize("cap", [2.5, 4.0, True, "3"])
     def test_a_cap_that_is_not_an_integer_is_a_named_error(self, cap):
         config = FockConfig(2, 10, CHAIN)
         with pytest.raises(DomainError, match="integer"):
-            restricted_norm(config, DenseOperator.identity(config.dimension), occupation_cap=cap)
+            restricted_norm(config, identity(config.dimension), occupation_cap=cap)
 
     def test_a_numpy_integer_cap_is_accepted(self):
         config = FockConfig(2, 10, CHAIN)
@@ -376,14 +385,15 @@ class TestPerturbationMatrix:
     def test_exactly_hermitian(self):
         config = FockConfig(2, 10, CHAIN)
         family = cosine_family(GEO, [(0,), (1,)], z=0.2)
-        assert perturbation_matrix(config, family).hermiticity_defect() == 0.0
+        p = perturbation_matrix(config, family).entries
+        assert np.array_equal(p, p.conj().T)
 
     @pytest.mark.parametrize("z,dtype", [(0.2, np.float64), (0.15 + 0.1j, np.complex128)])
     def test_real_labels_give_a_real_matrix(self, z, dtype):
         config = FockConfig(2, 10, CHAIN)
         p = perturbation_matrix(config, cosine_family(GEO, [(0,), (1,)], z=z))
         assert p.entries.dtype == dtype
-        assert p.hermiticity_defect() == 0.0
+        assert np.array_equal(p.entries, p.entries.conj().T)
 
     def test_zero_atom_gives_a_multiple_of_the_identity(self):
         from lrlattice import AtomicWeylMeasure
@@ -538,7 +548,7 @@ class TestPerturbedEvolution:
     def test_quadrature_step_guards(self):
         config = FockConfig(2, 10, CHAIN)
         family = cosine_family(GEO, [(0,)], z=0.2)
-        w = DenseOperator.identity(config.dimension)
+        w = identity(config.dimension)
         with pytest.raises(DomainError):
             perturbed_evolve(config, family, w, 0.5, quad_steps=7)
         with pytest.raises(DomainError):
@@ -548,7 +558,7 @@ class TestPerturbedEvolution:
     def test_a_non_integer_step_count_is_a_named_error(self, steps):
         config = FockConfig(2, 10, CHAIN)
         family = cosine_family(GEO, [(0,)], z=0.2)
-        w = DenseOperator.identity(config.dimension)
+        w = identity(config.dimension)
         with pytest.raises(DomainError, match="quad_steps"):
             perturbed_evolve(config, family, w, 0.5, quad_steps=steps)
 
@@ -566,7 +576,7 @@ class TestPerturbedEvolution:
     def test_a_non_finite_time_is_a_named_error(self, t, z):
         config = FockConfig(2, 10, CHAIN)
         family = PerturbationFamily.empty(GEO) if z is None else cosine_family(GEO, [(0,)], z=z)
-        w = DenseOperator.identity(config.dimension)
+        w = identity(config.dimension)
         with pytest.raises(DomainError, match="t must be finite"):
             perturbed_evolve(config, family, w, t)
 
@@ -627,28 +637,28 @@ class TestVolumeCompare:
     def test_validation(self):
         small = FockConfig(2, 10, CHAIN)
         large = FockConfig(3, 10, CHAIN)
-        op = DenseOperator.identity(small.dimension)
+        op = identity(small.dimension)
         with pytest.raises(DomainError):
-            volume_compare(large, small, None, DenseOperator.identity(large.dimension), (0.5,))
+            volume_compare(large, small, None, identity(large.dimension), (0.5,))
         with pytest.raises(DomainError):
             volume_compare(small, FockConfig(3, 12, CHAIN), None, op, (0.5,))
         with pytest.raises(DomainError):
             volume_compare(small, FockConfig(3, 10, DECOUPLED), None, op, (0.5,))
         with pytest.raises(DomainError):
-            volume_compare(small, large, None, DenseOperator.identity(4), (0.5,))
+            volume_compare(small, large, None, identity(4), (0.5,))
 
     @pytest.mark.parametrize("t_grid", [(0.25, math.nan), (math.inf,)])
     def test_a_non_finite_time_is_a_named_error(self, t_grid):
         small = FockConfig(2, 10, CHAIN)
         large = FockConfig(3, 10, CHAIN)
-        op = DenseOperator.identity(small.dimension)
+        op = identity(small.dimension)
         with pytest.raises(DomainError, match="t_grid"):
             volume_compare(small, large, None, op, t_grid)
 
     def test_an_empty_time_grid_is_a_named_error(self):
         small = FockConfig(2, 10, CHAIN)
         large = FockConfig(3, 10, CHAIN)
-        op = DenseOperator.identity(small.dimension)
+        op = identity(small.dimension)
         with pytest.raises(DomainError, match="t_grid"):
             volume_compare(small, large, None, op, ())
 

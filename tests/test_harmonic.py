@@ -39,10 +39,16 @@ from lrlattice import (
     symplectic_form,
 )
 from lrlattice import harmonic
-from lrlattice.harmonic import MU_GRID, _truncation_tail
+from lrlattice.harmonic import MAX_REFINEMENTS, MU_GRID, _truncation_tail
 
 CHAIN = HarmonicParameters(omega=1.0, couplings=(1.0,))
 MASSLESS = HarmonicParameters(omega=0.0, couplings=(1.0,))
+# A stiff chain at t = 5.75 is still converging on the last grid that a
+# window-3 kernel started at 8 points reaches (8 * 2**MAX_REFINEMENTS = 512):
+# 256 and 512 points differ by about 1.3e-9 (m = -1), 2.4e-8 (m = 0) and
+# 4.4e-7 (m = 1).
+STIFF = HarmonicParameters(omega=1.0, couplings=(400.0,))
+STIFF_T = 5.75
 
 
 class TestParametersAndDispersion:
@@ -232,12 +238,13 @@ class TestKernelStructure:
         assert drift <= 10.0 * max(coarse.est_quadrature_error, 1e-15)
 
     def test_nonconvergence_carries_best_kernel(self):
-        quad = QuadratureSpec(points_per_axis=8, refinement_tolerance=1e-16, max_refinements=1)
+        quad = QuadratureSpec(points_per_axis=8, refinement_tolerance=5e-9)
         with pytest.raises(QuadratureConvergenceError) as info:
-            compute_kernel(CHAIN, 0, 3.0, 4, quad)
+            compute_kernel(STIFF, 0, STIFF_T, 3, quad)
         assert info.value.best is not None
-        assert info.value.best.samples.shape == (9,)
-        assert math.isfinite(info.value.achieved)
+        assert info.value.best.samples.shape == (7,)
+        assert info.value.best.points_per_axis == 8 * 2**MAX_REFINEMENTS
+        assert 5e-9 < info.value.achieved < 1e-6
 
     def test_no_room_to_refine_fails_before_sampling(self, monkeypatch):
         # In d = 3 the grid cap is 256 points per axis; a starting grid of 256
@@ -265,6 +272,14 @@ class TestKernelStructure:
         # a grid that can still double is sampled as before
         compute_kernel(cube, 0, 0.0, 1, QuadratureSpec(points_per_axis=8))
         assert len(calls) >= 2
+
+    def test_kernels_compare_by_identity(self):
+        # different starting grids: the fields agree up to ``samples``, whose
+        # arrays have no single truth value, so a field-wise __eq__ would raise
+        a = compute_kernel(CHAIN, 0, 0.5, 3)
+        b = compute_kernel(CHAIN, 0, 0.5, 3, QuadratureSpec(points_per_axis=128))
+        assert a == a
+        assert a != b
 
     def test_value_outside_window_raises(self):
         kernel = compute_kernel(CHAIN, 0, 0.5, 3)
@@ -311,7 +326,7 @@ def _reference_kernel(params, m, t, window, quad):
     while points < 2 * (window + 1):
         points *= 2
     prev, achieved, refinements = sample(points), math.inf, 0
-    while refinements < quad.max_refinements and 2 * points <= max_points:
+    while refinements < MAX_REFINEMENTS and 2 * points <= max_points:
         points, refinements = 2 * points, refinements + 1
         cur = sample(points)
         achieved, prev = float(np.max(np.abs(cur - prev))), cur
@@ -349,23 +364,25 @@ class TestSharedKernelQuadrature:
 
     @pytest.mark.parametrize("ms", [(-1, 0, 1), (1, 0, -1), (-1, 1)])
     @pytest.mark.parametrize(
-        "quad",
+        "tolerance, converged",
         [
-            # m = -1 converges at 32 points, m = 0 and m = 1 do not
-            QuadratureSpec(points_per_axis=8, refinement_tolerance=1e-12, max_refinements=2),
-            QuadratureSpec(points_per_axis=8, max_refinements=1),
+            pytest.param(5e-9, {-1}, id="only-m-1-converges"),
+            pytest.param(1e-7, {-1, 0}, id="m1-does-not-converge"),
+            pytest.param(1e-12, set(), id="none-converge"),
         ],
     )
-    def test_unconverged_index_raises_as_it_does_alone(self, quad, ms):
+    def test_unconverged_index_raises_as_it_does_alone(self, tolerance, converged, ms):
+        quad = QuadratureSpec(points_per_axis=8, refinement_tolerance=tolerance)
         alone = {}
         for m in ms:
             try:
-                alone[m] = compute_kernel(CHAIN, m, 2.0, 3, quad)
+                alone[m] = compute_kernel(STIFF, m, STIFF_T, 3, quad)
             except QuadratureConvergenceError as err:
                 alone[m] = err
+        assert {m for m in ms if not isinstance(alone[m], Exception)} == converged & set(ms)
         first = next(alone[m] for m in ms if isinstance(alone[m], QuadratureConvergenceError))
         with pytest.raises(QuadratureConvergenceError) as info:
-            compute_kernels(CHAIN, 2.0, 3, quad, ms)
+            compute_kernels(STIFF, STIFF_T, 3, quad, ms)
         assert str(info.value) == str(first)
         assert info.value.achieved == first.achieved
         assert _same_kernel(info.value.best, first.best)
@@ -428,9 +445,11 @@ class TestCertifiedWindow:
         assert math.fsum(diffs) <= 2e-8
 
     def test_unreachable_tolerance_raises(self):
+        # at t = 200 every envelope rate of MU_GRID grows past e^700
         with pytest.raises(WindowCertificationError) as info:
-            certified_window(CHAIN, 50.0, 1e-10, max_window=64)
-        assert info.value.minimal_window == 65
+            certified_window(CHAIN, 200.0, 1e-10)
+        assert info.value.minimal_window == 4097
+        assert "no window up to 4096" in str(info.value)
 
 
 # A scalar copy of the envelope tail and the window search, without caches;

@@ -15,10 +15,16 @@ from lrlattice import (
     DecayProfile,
     DomainError,
     Field,
+    FockConfig,
+    HarmonicParameters,
     LatticeGeometry,
+    QuadratureSpec,
+    VolumeSequence,
     ball_sites,
+    commutator_norm,
     convolution_constant,
-    ordered_sum,
+    cosine_family,
+    pair_moment,
     shell_count,
     site_sort_key,
     uniform_norm,
@@ -36,17 +42,22 @@ class TestLatticeGeometry:
         assert geo.distance((2,), (-1,)) == 1
         assert geo.distance((0,), (2,)) == 2
 
-    @pytest.mark.parametrize("x,wrapped", [(3, -1), (-2, 2), (0, 0), (6, 2), (-5, -1)])
-    def test_torus_wrap(self, x, wrapped):
-        geo = LatticeGeometry.torus(1, half_side=2)
-        assert geo.wrap(x) == (wrapped,)
-
     def test_torus_rejects_out_of_range_site(self):
         geo = LatticeGeometry.torus(1, half_side=2)
         with pytest.raises(DomainError):
             geo.site((3,))
         with pytest.raises(DomainError):
             geo.site((-2,))
+
+    def test_window_radius_takes_no_part_in_equality(self):
+        windowed = LatticeGeometry.infinite(1, window_radius=4)
+        plain = LatticeGeometry.infinite(1)
+        assert windowed == plain and hash(windowed) == hash(plain)
+        chain = HarmonicParameters(omega=1.0, couplings=(1.0,))
+        value = commutator_norm(Field.delta(windowed, (0,)), Field.delta(plain, (1,)), chain, 1.0)
+        assert value == commutator_norm(
+            Field.delta(plain, (0,)), Field.delta(plain, (1,)), chain, 1.0
+        )
 
     def test_site_validates_dimension(self):
         geo = LatticeGeometry.infinite(2)
@@ -58,7 +69,7 @@ class TestLatticeGeometry:
         with pytest.raises(DomainError, match="integer"):
             LatticeGeometry.infinite(1).site(x)
         with pytest.raises(DomainError, match="integer"):
-            LatticeGeometry.torus(1, half_side=2).wrap(x)
+            LatticeGeometry.torus(1, half_side=2).site(x)
 
     def test_float_site_does_not_land_on_a_neighbour(self):
         with pytest.raises(DomainError):
@@ -205,13 +216,6 @@ class TestDecayProfile:
         for r, v in zip(rs, vec):
             assert v == profile.value(float(r))
 
-    def test_with_rate_preserves_shape_parameters(self):
-        base = DecayProfile(dimension=2, epsilon=0.25)
-        lifted = base.with_rate(2.0)
-        assert lifted.dimension == 2
-        assert lifted.epsilon == 0.25
-        assert lifted.rate == 2.0
-
     def test_validation(self):
         with pytest.raises(DomainError):
             DecayProfile(dimension=1, epsilon=0.0)
@@ -275,9 +279,30 @@ class TestConvolutionConstant:
             convolution_constant(DecayProfile(dimension=1), 1)
 
 
-def test_ordered_sum_is_exact():
-    terms = [1e16, 1.0, -1e16, 1.0]
-    assert ordered_sum(terms) == 2.0
-    rng = np.random.default_rng(7)
-    data = rng.normal(size=257).tolist()
-    assert ordered_sum(data) == math.fsum(data)
+CHAIN = HarmonicParameters(omega=1.0, couplings=(1.0,))
+ONSITE = cosine_family(LatticeGeometry.infinite(1), [(0,)], z=0.2)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: LatticeGeometry.torus(1, 2.5), "half_side", id="torus-half-side"),
+        pytest.param(lambda: LatticeGeometry.infinite(True), "dimension", id="bool-dimension"),
+        pytest.param(lambda: LatticeGeometry.infinite(1, 4.0), "window_radius", id="window"),
+        pytest.param(lambda: DecayProfile(2.5), "dimension", id="profile-float"),
+        pytest.param(lambda: DecayProfile(True), "dimension", id="profile-bool"),
+        pytest.param(lambda: FockConfig(2, 8.5, CHAIN), "cutoff", id="fock-cutoff"),
+        pytest.param(lambda: FockConfig(True, 8, CHAIN), "sites", id="fock-sites"),
+        pytest.param(lambda: QuadratureSpec(points_per_axis=64.5), "points_per_axis", id="quad"),
+        pytest.param(lambda: VolumeSequence((4.7, 8.2)), "half-sides", id="boxes"),
+        pytest.param(lambda: shell_count(True, 2), "dimension", id="shell-count"),
+        pytest.param(lambda: uniform_norm(DecayProfile(1), 2.5), "window", id="uniform-norm"),
+        pytest.param(lambda: pair_moment(ONSITE, DecayProfile(1), 2.5), "window", id="pair-moment"),
+        pytest.param(
+            lambda: convolution_constant(DecayProfile(1), 4.5), "window", id="convolution"
+        ),
+    ],
+)
+def test_integer_arguments_are_checked(call, match):
+    with pytest.raises(DomainError, match=f"{match}.*integer"):
+        call()

@@ -1,6 +1,11 @@
-"""Package namespace: every public name is declared once, in its module."""
+"""Package namespace: every public name is declared once, in its module,
+and every public name the README's library tour names exists."""
 
+import dataclasses
 import itertools
+import re
+import types
+from pathlib import Path
 
 import lrlattice
 from lrlattice import bounds, fock, harmonic, lattice, perturbations, weyl
@@ -11,7 +16,7 @@ PUBLIC_NAMES = {
     "__version__",
     # lattice
     "DomainError", "GeometryMismatchError", "LatticeGeometry", "DecayProfile",
-    "UniformNorm", "ConvolutionConstant", "ball_sites", "shell_count", "ordered_sum",
+    "UniformNorm", "ConvolutionConstant", "ball_sites", "shell_count",
     "site_sort_key", "uniform_norm", "convolution_constant",
     # harmonic
     "HarmonicParameters", "Field", "Kernel", "QuadratureSpec", "MU_GRID",
@@ -33,8 +38,8 @@ PUBLIC_NAMES = {
     "convergence_tail", "convergence_tail_sets", "load_family", "save_family",
     "cosine_family",
     # fock
-    "TruncationLeakageError", "FockConfig", "DenseOperator", "SiteOperators",
-    "build_site_operators", "build_hamiltonian", "hamiltonian_spectrum", "weyl_matrix",
+    "TruncationLeakageError", "FockConfig", "DenseOperator", "build_hamiltonian",
+    "hamiltonian_spectrum", "weyl_matrix",
     "heisenberg_evolve", "perturbation_matrix", "perturbed_evolve", "commutator_oracle",
     "restricted_norm", "volume_compare", "diagonalization_defect",
 }
@@ -69,3 +74,36 @@ def test_star_import_exports_exactly_the_union_of_module_lists():
 
 def test_public_names_are_the_documented_set():
     assert set(lrlattice.__all__) == PUBLIC_NAMES
+
+
+def _library_tour_names() -> list[str]:
+    """Every backticked dotted name (a trailing ``()`` dropped) in the README's
+    "Library tour" table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library tour\n", 1)[1].lstrip("\n").splitlines()
+    table = "\n".join(itertools.takewhile(lambda line: line.startswith("|"), section))
+    spans = re.findall(r"`([^`]+)`", table)
+    return [s.removesuffix("()") for s in spans if re.fullmatch(r"[A-Za-z_][\w.]*(\(\))?", s)]
+
+
+def _resolves(name: str) -> bool:
+    """``name`` is a public package name, a submodule, or an attribute or
+    dataclass field reached from one."""
+    head, *rest = name.removeprefix("lrlattice.").split(".")
+    obj = getattr(lrlattice, head, None)
+    if head not in lrlattice.__all__ and not isinstance(obj, types.ModuleType):
+        return False
+    for part in rest:
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        elif dataclasses.is_dataclass(obj) and part in {f.name for f in dataclasses.fields(obj)}:
+            obj = None  # a field without a class default; nothing follows it
+        else:
+            return False
+    return True
+
+
+def test_readme_library_tour_names_resolve():
+    names = _library_tour_names()
+    assert len(names) >= 40  # the table was found and parsed
+    assert [name for name in names if not _resolves(name)] == []
