@@ -344,6 +344,15 @@ def _check_value(key, kind, value, errors):
     return None
 
 
+def _default_sites(kind, default, d):
+    """A default label or site list with its 1-D sites padded with zeros to d coordinates."""
+    if not _is_int(d) or kind not in ("labels", "site_list"):
+        return default
+    if kind == "labels":
+        return [{**atom, "x": atom["x"] + [0] * (d - 1)} for atom in default]
+    return [x + [0] * (d - 1) for x in default]
+
+
 def parse_scenario(command: str, file_config: dict, overrides: dict) -> dict:
     """Merge config file and flag overrides into a validated scenario.
 
@@ -373,7 +382,7 @@ def parse_scenario(command: str, file_config: dict, overrides: dict) -> dict:
         elif key in file_config:
             merged[key] = _check_value(key, kind, file_config[key], errors)
         else:
-            merged[key] = default
+            merged[key] = _default_sites(kind, default, merged.get("d"))
 
     for key, least in _LEAST.items():
         value = merged.get(key)

@@ -30,7 +30,7 @@ from .lattice import (
     DomainError,
     GeometryMismatchError,
     LatticeGeometry,
-    _cube,
+    _counted_sum,
     _is_int,
     site_sort_key,
 )
@@ -251,10 +251,20 @@ def first_moment(family: PerturbationFamily) -> float:
 def _perturbed_rate(
     cert: DecayCertificate, kappa_a: float, conv_constant: float, onsite: bool
 ) -> float:
-    if kappa_a < 0 or conv_constant < 0:
+    if not (kappa_a >= 0 and conv_constant >= 0):
         raise DomainError("moment and convolution constants must be nonnegative")
     power = conv_constant if onsite else conv_constant**2
     return cert.v_a + cert.c_a * kappa_a * power
+
+
+def _growth(rate: float, t: float) -> float:
+    """e^{rate |t|}, with a DomainError for a non-finite t or a value beyond the float range."""
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
+    try:
+        return math.exp(rate * abs(t))
+    except OverflowError:
+        raise DomainError(f"e^(rate |t|) overflows at rate {rate} and |t| = {abs(t)}") from None
 
 
 def perturbed_bound(
@@ -276,12 +286,12 @@ def perturbed_bound(
     for ``kappa_a``).
     """
     rate = _perturbed_rate(cert, kappa_a, conv_constant, onsite)
-    return cert.c_a * math.exp(rate * abs(t)) * pair_sum(f, g, profile)
+    return cert.c_a * _growth(rate, t) * pair_sum(f, g, profile)
 
 
 def _tail_value(
     f: Field,
-    shell: np.ndarray,
+    shell_counts,
     t: float,
     moment: float,
     cert: DecayCertificate,
@@ -290,18 +300,28 @@ def _tail_value(
     profile: DecayProfile,
     onsite: bool,
 ) -> float:
-    if moment < 0:
+    """The tail bound; ``shell_counts[k]`` counts the shell sites per l1 distance from
+    the k-th site of ``f.support()``."""
+    if not moment >= 0:
         raise DomainError("first moment must be nonnegative")
-    if len(shell) == 0:
-        return 0.0
+    if profile.dimension != f.geometry.dimension:
+        raise GeometryMismatchError("profile dimension does not match the label geometry")
     rate = _perturbed_rate(cert, kappa_a, conv_constant, onsite)
     terms = []
-    for x, fx in f.items_sorted():
-        dists = np.abs(shell - np.asarray(x, dtype=np.int64)).sum(axis=1)
-        # fsum is exactly rounded, so the order of the shell sites does not matter.
-        terms.append(abs(fx) * float(math.fsum(profile.value(dists))))
+    for (_, fx), counts in zip(f.items_sorted(), shell_counts):
+        values = profile.value(np.arange(len(counts), dtype=float))
+        terms.append(abs(fx) * _counted_sum(counts, values))
     reach = math.fsum(terms)
-    return moment * cert.c_a * abs(t) * math.exp(rate * abs(t)) * reach
+    return moment * cert.c_a * abs(t) * _growth(rate, t) * reach
+
+
+def _box_counts(x, half_side: int, outer: int) -> np.ndarray:
+    """Sites of (-L, L]^d per l1 distance from x, for x and L inside the box ``outer``."""
+    axis = np.arange(1 - half_side, half_side + 1)
+    counts = np.ones(1, dtype=np.int64)
+    for c in x:
+        counts = np.convolve(counts, np.bincount(np.abs(axis - c), minlength=2 * outer))
+    return counts
 
 
 def convergence_tail(
@@ -323,20 +343,21 @@ def convergence_tail(
     with the shell between boxes m and n of the sequence.  The label must
     be supported inside the inner box for the bound to mean anything.
     """
+    if not (_is_int(n) and _is_int(m)):
+        raise DomainError(f"box indices must be integers, got n = {n!r}, m = {m!r}")
     if not 0 <= m <= n < len(seq.boxes):
         if m > n:
             raise DomainError(f"need m <= n, got m = {m}, n = {n}")
         raise DomainError(f"indices ({m}, {n}) outside the sequence of {len(seq.boxes)} boxes")
     if f.geometry.is_torus:
         raise GeometryMismatchError("volume convergence is posed on the infinite lattice")
-    inner = seq.boxes[m]
+    inner, outer = seq.boxes[m], seq.boxes[n]
     for site in f.support():
         if not all(-inner < c <= inner for c in site):
             raise DomainError(f"label site {site} lies outside the inner box {inner}")
-    # The shell is the box (-outer, outer]^d with the inner box masked out.
-    box = _cube(f.geometry.dimension, 1 - seq.boxes[n], seq.boxes[n])
-    shell = box[~((box > -inner) & (box <= inner)).all(axis=1)]
-    return _tail_value(f, shell, t, moment, cert, kappa_a, conv_constant, profile, onsite)
+    # The shell is the box (-outer, outer]^d less the inner box inside it.
+    counts = [_box_counts(x, outer, outer) - _box_counts(x, inner, outer) for x in f.support()]
+    return _tail_value(f, counts, t, moment, cert, kappa_a, conv_constant, profile, onsite)
 
 
 def convergence_tail_sets(
@@ -358,8 +379,9 @@ def convergence_tail_sets(
         raise DomainError("inner sites must be contained in the outer sites")
     if not set(f.support()) <= inner:
         raise DomainError("label must be supported inside the inner site set")
-    shell = np.array(sorted(outer - inner, key=site_sort_key), dtype=np.int64)
-    return _tail_value(f, shell, t, moment, cert, kappa_a, conv_constant, profile, onsite)
+    shell = np.array(list(outer - inner), dtype=np.int64).reshape(-1, f.geometry.dimension)
+    counts = [np.bincount(np.abs(shell - x).sum(axis=1)) for x in f.support()]
+    return _tail_value(f, counts, t, moment, cert, kappa_a, conv_constant, profile, onsite)
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,12 @@ class TestExitCodes:
         assert not out.exists()
         assert "underflows" in capsys.readouterr().err
 
+    def test_overflowing_tail_names_rate_and_time(self, tmp_path, capsys):
+        code, out = run("converge", tmp_path, flags=("--a", "8"))
+        assert code == 2
+        assert not out.exists()
+        assert "overflows at rate" in capsys.readouterr().err
+
     def test_no_temp_files_left_behind(self, tmp_path):
         run("kernel", tmp_path)
         run("kernel", tmp_path, extra={"m": [5]}, out_name="failed.out")
@@ -433,6 +439,23 @@ class TestDefaults:
         config = write_config(tmp_path, "fock-verify")
         assert main(["fock-verify", "--config", config]) == 0
         assert (tmp_path / "fock_verify.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, keys",
+        [
+            ("converge", ("--d", "2"), ("f", "cosine_sites")),
+            ("converge", ("--d", "3", "--window", "4"), ("f", "cosine_sites")),
+            ("state", ("--d", "2"), ("f", "g1", "g2")),
+        ],
+    )
+    def test_default_sites_follow_the_dimension(self, command, flags, keys, tmp_path):
+        out = tmp_path / "report.json"
+        assert main([command, *flags, "--output", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        d = config["d"]
+        for key in keys:
+            sites = [atom["x"] for atom in config[key]] if key != "cosine_sites" else config[key]
+            assert all(len(x) == d and x[1:] == [0] * (d - 1) for x in sites)
 
     def test_default_formats(self, tmp_path):
         _, kernel_out = run("kernel", tmp_path, out_name="k.out")

@@ -278,6 +278,11 @@ class TestConvolutionConstant:
         with pytest.raises(DomainError):
             convolution_constant(DecayProfile(dimension=1), 1)
 
+    def test_underflowing_profile_is_refused(self):
+        # F_a(r) = exp(-20 r) (1 + r)^-2 is 0 in floating point from r = 37 on.
+        with pytest.raises(DomainError, match="underflows"):
+            convolution_constant(DecayProfile(1, epsilon=1.0, rate=20.0), 40)
+
 
 CHAIN = HarmonicParameters(omega=1.0, couplings=(1.0,))
 ONSITE = cosine_family(LatticeGeometry.infinite(1), [(0,)], z=0.2)

@@ -359,6 +359,52 @@ class TestConvergenceTail:
         with pytest.raises(DomainError):
             convergence_tail(f, VolumeSequence((2, 4)), 1, 0, 0.5, 0.4, cert, 0.08, 2.0, profile)
 
+    def test_profile_dimension_must_match_the_label(self):
+        cert, _ = chain_cert()
+        f = Field.delta(LatticeGeometry.infinite(1), (0,))
+        plane = DecayProfile(2, epsilon=1.0, rate=1.0)
+        with pytest.raises(GeometryMismatchError):
+            convergence_tail(f, VolumeSequence((2, 4)), 1, 0, 0.5, 0.4, cert, 0.08, 2.0, plane)
+        with pytest.raises(GeometryMismatchError):
+            convergence_tail_sets(f, [(0,)], [(0,), (1,)], 0.5, 0.4, cert, 0.08, 2.0, plane)
+
+    @pytest.mark.parametrize("n, m", [(1.0, 0), (1, 0.0), (True, 0), (1, False)])
+    def test_box_indices_must_be_integers(self, n, m):
+        cert, profile = chain_cert()
+        f = Field.delta(LatticeGeometry.infinite(1), (0,))
+        with pytest.raises(DomainError, match="integers"):
+            convergence_tail(f, VolumeSequence((2, 4)), n, m, 0.5, 0.4, cert, 0.08, 2.0, profile)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_time_must_be_finite(self, t):
+        cert, profile = chain_cert()
+        f = Field.delta(LatticeGeometry.infinite(1), (0,))
+        with pytest.raises(DomainError, match="finite"):
+            convergence_tail(f, VolumeSequence((2, 4)), 1, 0, t, 0.4, cert, 0.08, 2.0, profile)
+        with pytest.raises(DomainError, match="finite"):
+            convergence_tail_sets(f, [(0,)], [(0,), (1,)], t, 0.4, cert, 0.08, 2.0, profile)
+        with pytest.raises(DomainError, match="finite"):
+            perturbed_bound(f, f, t, cert, 0.08, 2.0, profile)
+
+    @pytest.mark.parametrize(
+        "moment, kappa_a, conv",
+        [(math.nan, 0.08, 2.0), (0.4, math.nan, 2.0), (0.4, 0.08, math.nan)],
+    )
+    def test_nan_constants_are_rejected(self, moment, kappa_a, conv):
+        cert, profile = chain_cert()
+        f = Field.delta(LatticeGeometry.infinite(1), (0,))
+        seq = VolumeSequence((2, 4))
+        with pytest.raises(DomainError, match="nonnegative"):
+            convergence_tail(f, seq, 1, 0, 0.5, moment, cert, kappa_a, conv, profile)
+
+    def test_overflowing_growth_is_a_domain_error(self):
+        cert, profile = chain_cert()
+        f = Field.delta(LatticeGeometry.infinite(1), (0,))
+        with pytest.raises(DomainError, match=r"overflows at rate .* and \|t\| = 1000"):
+            perturbed_bound(f, f, -1000.0, cert, 0.08, 2.0, profile)
+        with pytest.raises(DomainError, match="overflows"):
+            convergence_tail(f, VolumeSequence((2, 4)), 1, 0, 1e3, 0.4, cert, 0.08, 2.0, profile)
+
     def test_explicit_sets_match_the_box_form(self):
         cert, profile = chain_cert()
         geo = LatticeGeometry.infinite(1)
