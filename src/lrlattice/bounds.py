@@ -18,7 +18,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -27,9 +26,9 @@ from .harmonic import (
     MU_GRID,
     Field,
     HarmonicParameters,
-    Kernel,
     QuadratureConvergenceError,
     QuadratureSpec,
+    _check_time,
     apply_propagator_convolution,
     compute_kernels,
     envelope_prefactor,
@@ -42,6 +41,7 @@ from .lattice import (
     DomainError,
     GeometryMismatchError,
     LatticeGeometry,
+    _is_int,
     ball_sites,
 )
 
@@ -96,66 +96,59 @@ class VelocityFit(NamedTuple):
     fit_residual: float
 
 
-@lru_cache(maxsize=256)
-def _kernels_best(
-    params: HarmonicParameters, t: float, window: int, quad: QuadratureSpec
-) -> dict[int, Kernel]:
-    """The three kernels at one time, keeping the best grid where refinement stalls.
-
-    Verification wants whatever accuracy is attainable, with the achieved
-    quadrature error folded into the comparison allowance, rather than a
-    hard failure; massless models in d >= 2 converge only algebraically
-    and routinely land here.
-    """
-    try:
-        return compute_kernels(params, t, window, quad)
-    except QuadratureConvergenceError as err:
-        if err.best is None:
-            raise
-        return err.kernels
-
-
 def verify_kernel_bounds(
     params: HarmonicParameters,
-    mu: float,
+    mus,
     t_grid,
     window: int,
     quad: QuadratureSpec | None = None,
-) -> KernelBoundReport:
-    """Check the exponential envelopes on every computed kernel sample.
+) -> list[KernelBoundReport]:
+    """Check the exponential envelopes of every rate in ``mus`` on the kernel samples.
 
     For each m, t, and |x| <= window the ratio |H_t^(m)(x)| / (envelope +
     allowance) is formed, where the allowance is the kernel's estimated
     quadrature error (floored at RATIO_FLOOR); far outside the cone the
     envelope drops below floating-point noise and the bare ratio would be
     meaningless.  The verification passes when the maximum ratio stays
-    below 1 + 1e-9.
+    below 1 + 1e-9.  Each time's kernels are computed once and checked
+    against every rate, giving one report per rate in the order of ``mus``.
+    Where refinement stalls (massless models in d >= 2 converge only
+    algebraically), the kernels at their best grid are used instead.
     """
-    if not mu > 0:
-        raise DomainError("mu must be positive")
+    mus = [float(mu) for mu in mus]
+    t_grid = [float(t) for t in t_grid]
+    if not mus or not t_grid:
+        raise DomainError("the mu grid and the time grid must each hold at least one value")
+    for mu in mus:
+        envelope_speed(params, mu)  # raises DomainError unless 0 < mu < inf
     quad = quad or QuadratureSpec()
-    max_ratio = -math.inf
-    worst: dict = {}
+    max_ratios = [-math.inf] * len(mus)
+    worst: list[dict] = [{} for _ in mus]
     for t in t_grid:
-        t = float(t)
-        kernels = _kernels_best(params, t, window, quad)
-        for m in (-1, 0, 1):
-            kernel = kernels[m]
-            allowance = max(kernel.est_quadrature_error, RATIO_FLOOR)
-            rhs = kernel_envelope(params, m, mu, kernel.radii(), t)
-            ratios = np.abs(kernel.samples) / (rhs + allowance)
-            idx = int(np.argmax(ratios))
-            if float(ratios[idx]) > max_ratio:
-                max_ratio = float(ratios[idx])
-                worst = {
-                    "m": m,
-                    "t": t,
-                    "x": tuple(kernel.sites[idx].tolist()),
-                    "value": float(kernel.samples[idx]),
-                    "envelope": float(np.atleast_1d(rhs)[idx]),
-                    "allowance": allowance,
-                }
-    return KernelBoundReport(max_ratio, worst)
+        try:
+            kernels = compute_kernels(params, t, window, quad)
+        except QuadratureConvergenceError as err:
+            if err.best is None:
+                raise
+            kernels = err.kernels
+        for k, mu in enumerate(mus):
+            for m in (-1, 0, 1):
+                kernel = kernels[m]
+                allowance = max(kernel.est_quadrature_error, RATIO_FLOOR)
+                rhs = kernel_envelope(params, m, mu, kernel.radii(), t)
+                ratios = np.abs(kernel.samples) / (rhs + allowance)
+                idx = int(np.argmax(ratios))
+                if float(ratios[idx]) > max_ratios[k]:
+                    max_ratios[k] = float(ratios[idx])
+                    worst[k] = {
+                        "m": m,
+                        "t": t,
+                        "x": tuple(kernel.sites[idx].tolist()),
+                        "value": float(kernel.samples[idx]),
+                        "envelope": float(np.atleast_1d(rhs)[idx]),
+                        "allowance": allowance,
+                    }
+    return [KernelBoundReport(r, w) for r, w in zip(max_ratios, worst)]
 
 
 def _profile_conversion(power: float, eta: float) -> float:
@@ -220,11 +213,20 @@ def pair_sum(f: Field, g: Field, profile: DecayProfile) -> float:
     return math.fsum(terms)
 
 
+def _growth(rate: float, t: float) -> float:
+    """e^{rate |t|}, with a DomainError for a non-finite t or a value beyond the float range."""
+    _check_time(t)
+    try:
+        return math.exp(rate * abs(t))
+    except OverflowError:
+        raise DomainError(f"e^(rate |t|) overflows at rate {rate} and |t| = {abs(t)}") from None
+
+
 def harmonic_bound_rhs(
     f: Field, g: Field, t: float, cert: DecayCertificate, profile: DecayProfile
 ) -> float:
     """RHS of the unperturbed commutator bound, c_a e^{v_a |t|} * pair sum."""
-    return cert.c_a * math.exp(cert.v_a * abs(t)) * pair_sum(f, g, profile)
+    return cert.c_a * _growth(cert.v_a, t) * pair_sum(f, g, profile)
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,6 +358,10 @@ def spot_check_certificate(
     Labels are complex fields on small windows of the infinite lattice;
     values at or below 1 confirm the certificate on the sample.
     """
+    if not _is_int(trials) or trials < 1:
+        raise DomainError(f"trials must be an integer of at least 1, got {trials!r}")
+    if not math.isfinite(t_max):
+        raise DomainError(f"t_max must be finite, got {t_max!r}")
     rng = np.random.default_rng(seed)
     d = params.dimension
     geometry = LatticeGeometry.infinite(d, window_radius=support_radius)

@@ -552,8 +552,8 @@ def _run_bounds(s: dict):
     rows = []
     max_ratio = -math.inf
     worst = {}
-    for mu in s["mu"]:
-        report = verify_kernel_bounds(params, mu, s["t"], s["window"], quad)
+    reports = verify_kernel_bounds(params, s["mu"], s["t"], s["window"], quad)
+    for mu, report in zip(s["mu"], reports):
         rows.append((mu, report.max_ratio))
         if report.max_ratio > max_ratio:
             max_ratio = report.max_ratio

@@ -89,12 +89,10 @@ class QuadratureConvergenceError(RuntimeError):
         self,
         message: str,
         best: "Kernel | None" = None,
-        achieved: float = math.inf,
         kernels: "dict[int, Kernel] | None" = None,
     ):
         super().__init__(message)
         self.best = best
-        self.achieved = achieved
         # Every kernel of a compute_kernels call at its best grid, converged or not.
         self.kernels = kernels or {}
 
@@ -105,6 +103,11 @@ class WindowCertificationError(ValueError):
     def __init__(self, message: str, minimal_window: int):
         super().__init__(message)
         self.minimal_window = minimal_window
+
+
+def _check_time(t: float):
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -388,8 +391,8 @@ class QuadratureSpec:
 class Kernel:
     """Sampled propagation kernel on the l1 ball |x| <= window_radius.
 
-    Treat instances as immutable: ``samples`` is shared by cached lookups.
-    Two kernels are equal only if they are the same object.
+    ``sites`` is the window's shared read-only ``ball_sites`` array.  Two
+    kernels are equal only if they are the same object.
     """
 
     m: int
@@ -478,6 +481,7 @@ def compute_kernels(
     """
     if window_radius < 0:
         raise DomainError("window_radius must be nonnegative")
+    _check_time(t)
     quad = quad or QuadratureSpec()
     d = params.dimension
     sites = ball_sites(d, window_radius)
@@ -532,7 +536,6 @@ def compute_kernels(
                 f"kernel quadrature reached {kernel.est_quadrature_error:.3e} at "
                 f"{kernel.points_per_axis} points per axis, tolerance is {tol:.3e}",
                 best=kernel,
-                achieved=kernel.est_quadrature_error,
                 kernels=kernels,
             )
     return kernels
@@ -553,18 +556,21 @@ def compute_kernel(
 # Exponential envelopes and certified truncation windows.
 
 
+def _check_rate(mu: float):
+    if not 0 < mu < math.inf:
+        raise DomainError(f"mu must be positive and finite, got {mu!r}")
+
+
 def envelope_speed(params: HarmonicParameters, mu: float) -> float:
     """Envelope propagation speed c * max(2 / mu, e^(mu/2 + 1))."""
-    if not mu > 0:
-        raise DomainError("mu must be positive")
+    _check_rate(mu)
     c = params.max_frequency
     return c * max(2.0 / mu, math.exp(mu / 2.0 + 1.0))
 
 
 def envelope_prefactor(params: HarmonicParameters, mu: float) -> float:
     """Combined kernel prefactor 1 + 2 e^(mu/2) c + 2 / c."""
-    if not mu > 0:
-        raise DomainError("mu must be positive")
+    _check_rate(mu)
     c = params.max_frequency
     return 1.0 + 2.0 * math.exp(mu / 2.0) * c + 2.0 / c
 
@@ -635,6 +641,7 @@ def certified_window(
     """
     if not tolerance > 0:
         raise DomainError("tolerance must be positive")
+    _check_time(t)
     max_window = 4096
     budget = tolerance / max(l1_norm, 1e-300)
     best = None
@@ -664,7 +671,7 @@ def certified_window(
 # Propagators.
 
 
-def _propagator_symbols(gam: np.ndarray, t: float, massless: bool):
+def _propagator_symbols(gam: np.ndarray, t: float):
     """Fourier symbols (A, B) with T_t f = A fhat + B conj(f)hat.
 
     A = cos(2 gamma t) + (i/2)(gamma^-1 + gamma) sin(2 gamma t) and
@@ -673,13 +680,10 @@ def _propagator_symbols(gam: np.ndarray, t: float, massless: bool):
     """
     cos = np.cos(2.0 * gam * t)
     sin = np.sin(2.0 * gam * t)
-    if massless:
-        ratio = np.empty_like(gam)
-        nz = gam > 0
-        ratio[nz] = sin[nz] / gam[nz]
-        ratio[~nz] = 2.0 * t
-    else:
-        ratio = sin / gam
+    ratio = np.empty_like(gam)
+    nz = gam > 0
+    ratio[nz] = sin[nz] / gam[nz]
+    ratio[~nz] = 2.0 * t
     a = cos + 0.5j * (ratio + gam * sin)
     b = 0.5j * (ratio - gam * sin)
     return a, b
@@ -726,8 +730,8 @@ def _evolve_bogoliubov(dense: np.ndarray, gam: np.ndarray, t: float) -> np.ndarr
     return 0.5j * mult(rotated, plus) + 0.5j * mult(np.conj(rotated), minus)
 
 
-def _evolve_multiplier(dense: np.ndarray, gam: np.ndarray, t: float, massless: bool) -> np.ndarray:
-    a, b = _propagator_symbols(gam, t, massless)
+def _evolve_multiplier(dense: np.ndarray, gam: np.ndarray, t: float) -> np.ndarray:
+    a, b = _propagator_symbols(gam, t)
     out = np.fft.ifftn(a * np.fft.fftn(dense))
     out += np.fft.ifftn(b * np.fft.fftn(np.conj(dense)))
     return out
@@ -742,13 +746,14 @@ def apply_propagator_torus(field: Field, params: HarmonicParameters, t: float) -
     removable k = 0 limit; the position part must then have zero mean.
     """
     geometry = _check_torus_setup(field, params)
+    _check_time(t)
     if field.is_zero():
         return field
     dense = field.to_dense()
     gam = _torus_gamma(params, geometry)
     if params.is_massless:
         _reject_nonzero_mean(field)
-        out = _evolve_multiplier(dense, gam, t, massless=True)
+        out = _evolve_multiplier(dense, gam, t)
     else:
         out = _evolve_bogoliubov(dense, gam, t)
     return Field.from_dense(geometry, out)

@@ -229,10 +229,10 @@ class DecayProfile:
     def __post_init__(self):
         if not _is_int(self.dimension) or self.dimension < 1:
             raise DomainError(f"dimension must be a positive integer, got {self.dimension!r}")
-        if not self.epsilon > 0:
-            raise DomainError("epsilon must be positive")
-        if self.rate < 0:
-            raise DomainError("decay rate must be nonnegative")
+        if not 0 < self.epsilon < math.inf:
+            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if not 0 <= self.rate < math.inf:
+            raise DomainError(f"decay rate must be nonnegative and finite, got {self.rate!r}")
 
     @property
     def power(self) -> float:

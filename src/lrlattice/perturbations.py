@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import DecayCertificate, pair_sum
+from .bounds import DecayCertificate, _growth, pair_sum
 from .harmonic import Field
 from .lattice import (
     DecayProfile,
@@ -255,16 +255,6 @@ def _perturbed_rate(
         raise DomainError("moment and convolution constants must be nonnegative")
     power = conv_constant if onsite else conv_constant**2
     return cert.v_a + cert.c_a * kappa_a * power
-
-
-def _growth(rate: float, t: float) -> float:
-    """e^{rate |t|}, with a DomainError for a non-finite t or a value beyond the float range."""
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t!r}")
-    try:
-        return math.exp(rate * abs(t))
-    except OverflowError:
-        raise DomainError(f"e^(rate |t|) overflows at rate {rate} and |t| = {abs(t)}") from None
 
 
 def perturbed_bound(

@@ -157,8 +157,7 @@ def test_criterion_05_kernel_envelopes_hold(capsys):
     for omega, lam in ((1.0, 1.0), (0.0, 1.0)):
         for d in (1, 2):
             params = HarmonicParameters(omega=omega, couplings=(lam,) * d)
-            for mu in (0.5, 1.0, 2.0):
-                report = verify_kernel_bounds(params, mu, t_grid, 40)
+            for report in verify_kernel_bounds(params, (0.5, 1.0, 2.0), t_grid, 40):
                 worst = max(worst, report.max_ratio)
     elapsed = time.time() - started
     ok = worst <= 1.0 + 1e-9 and elapsed < 120.0

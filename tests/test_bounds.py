@@ -37,12 +37,12 @@ class TestKernelBoundVerification:
     @pytest.mark.parametrize("params", [CHAIN, MASSLESS])
     @pytest.mark.parametrize("mu", [0.5, 2.0])
     def test_envelopes_hold_on_the_chain(self, params, mu):
-        report = verify_kernel_bounds(params, mu, (0.0, 0.5, 1.0), 24)
+        (report,) = verify_kernel_bounds(params, [mu], (0.0, 0.5, 1.0), 24)
         assert report.max_ratio <= 1.0 + 1e-9
         assert report.max_ratio > 0.01
 
     def test_worst_point_structure(self):
-        report = verify_kernel_bounds(CHAIN, 1.0, (0.5,), 10)
+        (report,) = verify_kernel_bounds(CHAIN, [1.0], (0.5,), 10)
         point = report.worst_point
         assert set(point) == {"m", "t", "x", "value", "envelope", "allowance"}
         assert point["m"] in (-1, 0, 1)
@@ -53,22 +53,49 @@ class TestKernelBoundVerification:
         # conical-point quadrature converges only algebraically; the
         # verifier must still return with the achieved error folded in
         params = HarmonicParameters(omega=0.0, couplings=(1.0, 1.0))
-        report = verify_kernel_bounds(params, 0.5, (0.5,), 8)
+        (report,) = verify_kernel_bounds(params, [0.5], (0.5,), 8)
         assert report.max_ratio <= 1.0 + 1e-9
 
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(DomainError):
-            verify_kernel_bounds(CHAIN, 0.0, (1.0,), 8)
+            verify_kernel_bounds(CHAIN, [0.0], (1.0,), 8)
+
+    @pytest.mark.parametrize("mus", [[math.inf], [1.0, math.nan], []])
+    def test_a_mu_grid_needs_positive_finite_rates(self, mus):
+        # mu = inf once passed with max ratio 0.0, an empty grid returned nothing
+        with pytest.raises(DomainError, match="mu"):
+            verify_kernel_bounds(CHAIN, mus, (0.5,), 8)
+
+    def test_an_empty_time_grid_is_a_named_error(self):
+        with pytest.raises(DomainError, match="time grid"):
+            verify_kernel_bounds(CHAIN, [1.0], (), 8)
+
+    def test_one_report_per_mu_in_the_order_given(self):
+        t_grid = (0.0, 0.5, 1.5)
+        reports = verify_kernel_bounds(MASSLESS, [2.0, 0.5, 1.0], t_grid, 12)
+        alone = [verify_kernel_bounds(MASSLESS, [mu], t_grid, 12)[0] for mu in (2.0, 0.5, 1.0)]
+        assert reports == alone
 
     def test_unrefinable_grid_raises_instead_of_an_infinite_allowance(self):
         # a kernel without an error estimate would make the allowance
         # infinite and every ratio zero, so the verifier must not get one
         cube = HarmonicParameters(omega=1.0, couplings=(1.0, 1.0, 1.0))
         with pytest.raises(QuadratureConvergenceError):
-            verify_kernel_bounds(cube, 1.0, (0.5,), 2, QuadratureSpec(points_per_axis=256))
+            verify_kernel_bounds(cube, [1.0], (0.5,), 2, QuadratureSpec(points_per_axis=256))
 
 
 class TestDecayCertificate:
+    def test_an_infinite_eta_is_a_named_error(self):
+        # it once returned an all-inf certificate
+        with pytest.raises(DomainError, match="mu"):
+            derive_constants(CHAIN, 1.0, DecayProfile(1, epsilon=1.0, rate=1.0), eta=math.inf)
+
+    @pytest.mark.parametrize("envelope", [envelope_speed, envelope_prefactor])
+    @pytest.mark.parametrize("mu", [math.inf, math.nan, 0.0])
+    def test_the_envelopes_need_a_positive_finite_rate(self, envelope, mu):
+        with pytest.raises(DomainError, match="mu must be positive and finite"):
+            envelope(CHAIN, mu)
+
     def test_constants_compose_from_envelope_pieces(self):
         profile = DecayProfile(1, epsilon=1.0, rate=1.0)
         cert = derive_constants(CHAIN, 1.0, profile)
@@ -145,6 +172,17 @@ class TestPairSumAndRhs:
         t = 0.3
         expected = cert.c_a * math.exp(cert.v_a * t) * pair_sum(f, g, profile)
         assert harmonic_bound_rhs(f, g, t, cert, profile) == expected
+
+    def test_a_non_finite_or_overflowing_time_is_a_named_error(self):
+        geo = LatticeGeometry.infinite(1)
+        profile = DecayProfile(1, epsilon=1.0, rate=1.0)
+        cert = derive_constants(CHAIN, 1.0, profile)
+        f, g = Field.delta(geo, (0,)), Field.delta(geo, (2,))
+        with pytest.raises(DomainError, match="t must be finite"):
+            harmonic_bound_rhs(f, g, math.nan, cert, profile)
+        # e^{v_a |t|} leaves the float range; this was a bare OverflowError
+        with pytest.raises(DomainError, match=r"rate .* and \|t\| = 1000"):
+            harmonic_bound_rhs(f, g, 1e3, cert, profile)
 
 
 class TestConeScan:
@@ -257,3 +295,19 @@ class TestSpotCheck:
         a = spot_check_certificate(CHAIN, cert, profile, trials=10, seed=42)
         b = spot_check_certificate(CHAIN, cert, profile, trials=10, seed=42)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"trials": 0}, "trials"),  # once returned 0.0, which read as confirmed
+            ({"trials": 1.5}, "trials"),
+            ({"trials": True}, "trials"),
+            ({"t_max": math.nan}, "t_max"),
+            ({"t_max": math.inf}, "t_max"),
+        ],
+    )
+    def test_a_vacuous_or_non_finite_sample_is_a_named_error(self, kwargs, named):
+        profile = DecayProfile(1, epsilon=1.0, rate=1.0)
+        cert = derive_constants(CHAIN, 1.0, profile)
+        with pytest.raises(DomainError, match=named):
+            spot_check_certificate(CHAIN, cert, profile, **kwargs)

@@ -17,6 +17,7 @@ from lrlattice import (
     LatticeGeometry,
     QuadratureConvergenceError,
     ball_sites,
+    bounds,
     cli,
     cone_scan,
     derive_constants,
@@ -138,6 +139,21 @@ class TestReportContent:
         report = json.loads(out.read_text())
         raw = out.read_text()
         assert f"{report['max_ratio']:.16e}" in raw
+
+
+class TestKernelReuse:
+    def test_a_mu_grid_computes_the_kernels_of_each_time_once(self, tmp_path, monkeypatch):
+        times = []
+        real = bounds.compute_kernels
+
+        def counted(params, t, *args):
+            times.append(t)
+            return real(params, t, *args)
+
+        monkeypatch.setattr(bounds, "compute_kernels", counted)
+        code, _ = run("bounds", tmp_path, extra={"mu": [0.5, 1.0, 2.0], "t": [0.25, 0.5, 1.0]})
+        assert code == 0
+        assert times == [0.25, 0.5, 1.0]
 
 
 class TestPrecedence:

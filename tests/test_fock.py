@@ -25,8 +25,7 @@ from lrlattice import (
     commutator_norm,
     commutator_oracle,
     cosine_family,
-    diagonalization_defect,
-    hamiltonian_spectrum,
+    gamma,
     heisenberg_evolve,
     perturbation_matrix,
     perturbed_evolve,
@@ -37,7 +36,15 @@ from lrlattice import (
     weyl_matrix,
 )
 from lrlattice import fock
-from lrlattice.fock import _conjugate, _embed, _hamiltonian_eigh, _site_matrices
+from lrlattice.fock import (
+    _conjugate,
+    _eigh,
+    _embed,
+    _occupation_grid,
+    _site_matrices,
+    _spectral_norm,
+)
+from lrlattice.lattice import _is_int
 
 CHAIN = HarmonicParameters(omega=1.0, couplings=(1.0,))
 DECOUPLED = HarmonicParameters(omega=1.0, couplings=(0.0,))
@@ -55,6 +62,49 @@ def site_q_p(config, site):
     """Position and momentum of one site, embedded in the product space."""
     _, q, p = _site_matrices(config.cutoff)
     return tuple(_embed(m, site, config.sites, config.cutoff) for m in (q, p))
+
+
+def hamiltonian_spectrum(config: FockConfig, count: int = 8) -> np.ndarray:
+    """The ``count`` lowest eigenvalues of the truncated Hamiltonian."""
+    if not _is_int(count) or count < 1:
+        raise DomainError(f"count must be a positive integer, got {count!r}")
+    evals, _, _ = _eigh(config)
+    return np.array(evals[:count])
+
+
+def diagonalization_defect(config: FockConfig) -> float:
+    """Distance between H and its Fourier-mode normal form, low states only.
+
+    Builds b_k = (gamma^{1/2} Q_k + i gamma^{-1/2} P_k) / sqrt(2) from the
+    discrete Fourier transforms of the site operators and compares
+    sum_k gamma(k) (2 b_k^dag b_k + 1) against the Hamiltonian, projected
+    onto total occupation <= cutoff - 2 where the cutoff cannot interfere.
+    """
+    if config.params.is_massless:
+        raise SingularModeError("the k = 0 mode has no normal form when omega = 0")
+    n, cutoff = config.sites, config.cutoff
+    _, q_site, p_site = _site_matrices(cutoff)
+    q_sites = [_embed(q_site, x, n, cutoff) for x in range(n)]
+    p_sites = [_embed(p_site, x, n, cutoff) for x in range(n)]
+    dim = config.dimension
+
+    check = np.zeros((dim, dim), dtype=complex)
+    for j in range(n):
+        k = 2.0 * math.pi * j / n
+        g = gamma(config.params, (k,))
+        q_k = np.zeros((dim, dim), dtype=complex)
+        p_k = np.zeros((dim, dim), dtype=complex)
+        for x in range(n):
+            phase = np.exp(-1j * k * x) / math.sqrt(n)
+            q_k += phase * q_sites[x]
+            p_k += phase * p_sites[x]
+        b_k = (math.sqrt(g) * q_k + 1j / math.sqrt(g) * p_k) / math.sqrt(2.0)
+        check += g * (2.0 * (b_k.conj().T @ b_k) + np.eye(dim))
+
+    h = build_hamiltonian(config).entries
+    keep = _occupation_grid(n, cutoff) <= cutoff - 2
+    defect = (h - check)[np.ix_(keep, keep)]
+    return _spectral_norm(defect)
 
 
 class TestFockConfig:
@@ -254,7 +304,7 @@ class TestEigenbasisConjugation:
     def test_heisenberg_evolution_matches_the_site_basis_propagators(self):
         config = FockConfig(2, 10, CHAIN)
         w = weyl_matrix(config, Field.delta(GEO, (1,), -0.1 + 0.12j))
-        evals, evecs = _hamiltonian_eigh(config)
+        evals, evecs, _ = _eigh(config)
         for t in (0.0, 0.4, 1.3):
             expected = site_basis_conjugate(evals, evecs, t, w.entries)
             moved = heisenberg_evolve(config, w, t).entries
@@ -414,7 +464,7 @@ class TestPerturbationMatrix:
 def direct_simpson_residual(config, family, w, t, steps):
     """The Simpson residual with both propagators applied as full matrices at every node."""
     p_entries = perturbation_matrix(config, family).entries
-    evals_h, evecs_h = _hamiltonian_eigh(config)
+    evals_h, evecs_h, _ = _eigh(config)
     evals_p, evecs_p = np.linalg.eigh(build_hamiltonian(config).entries + p_entries)
     evolved = site_basis_conjugate(evals_p, evecs_p, t, w.entries)
     free = site_basis_conjugate(evals_h, evecs_h, t, w.entries)
@@ -661,6 +711,51 @@ class TestVolumeCompare:
         op = identity(small.dimension)
         with pytest.raises(DomainError, match="t_grid"):
             volume_compare(small, large, None, op, ())
+
+
+def count_eighs(monkeypatch, dimension=None):
+    """Record the shape of every np.linalg.eigh call (of one dimension, if given)."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(matrix, *args, **kwargs):
+        if dimension is None or matrix.shape[0] == dimension:
+            calls.append(matrix.shape)
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+class TestEigenbasisReuse:
+    def test_a_dyson_ladder_and_its_free_evolution_run_two_eighs(self, monkeypatch):
+        config = FockConfig(2, 10, CHAIN)
+        family = cosine_family(GEO, [(0,), (1,)], z=0.2)
+        w = weyl_matrix(config, Field.delta(GEO, (0,), 0.2 + 0.1j))
+        _eigh.cache_clear()
+        fock._rungs.clear()
+        calls = count_eighs(monkeypatch, config.dimension)
+        for steps in (16, 32, 64):
+            perturbed_evolve(config, family, w, 0.5, steps)
+        heisenberg_evolve(config, w, 0.5)
+        assert len(calls) == 2  # H and H + P
+
+    def test_a_repeated_volume_compare_runs_no_eigh(self, monkeypatch):
+        small, large = FockConfig(2, 8, CHAIN), FockConfig(3, 8, CHAIN)
+        family = cosine_family(GEO, [(0,), (1,), (2,)], z=0.05)
+        op = weyl_matrix(small, Field.delta(GEO, (0,), 0.05))
+        first = volume_compare(small, large, family, op, (0.5,))
+        calls = count_eighs(monkeypatch)
+        assert volume_compare(small, large, family, op, (0.5,)) == first
+        assert calls == []
+
+    def test_a_family_without_measures_shares_the_free_eigenbasis(self, monkeypatch):
+        small, large = FockConfig(2, 8, CHAIN), FockConfig(3, 8, CHAIN)
+        op = weyl_matrix(small, Field.delta(GEO, (0,), 0.05))
+        volume_compare(small, large, None, op, (0.5,))
+        calls = count_eighs(monkeypatch)
+        heisenberg_evolve(large, identity(large.dimension), 0.5)
+        assert calls == []
 
 
 class TestDiagonalizationDefect:

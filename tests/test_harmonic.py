@@ -30,6 +30,7 @@ from lrlattice import (
     apply_propagator_torus,
     bogoliubov_multipliers,
     certified_window,
+    commutator_norm,
     compute_kernel,
     compute_kernels,
     envelope_prefactor,
@@ -244,7 +245,7 @@ class TestKernelStructure:
         assert info.value.best is not None
         assert info.value.best.samples.shape == (7,)
         assert info.value.best.points_per_axis == 8 * 2**MAX_REFINEMENTS
-        assert 5e-9 < info.value.achieved < 1e-6
+        assert 5e-9 < info.value.best.est_quadrature_error < 1e-6
 
     def test_no_room_to_refine_fails_before_sampling(self, monkeypatch):
         # In d = 3 the grid cap is 256 points per axis; a starting grid of 256
@@ -262,7 +263,6 @@ class TestKernelStructure:
             compute_kernel(cube, 0, 1.0, 2, QuadratureSpec(points_per_axis=256))
         assert calls == []
         assert info.value.best is None
-        assert info.value.achieved == math.inf
         message = str(info.value)
         assert "window 2" in message and "256 points" in message and "cap of 256" in message
         # the same holds when the certified window alone forces the grid up
@@ -384,7 +384,6 @@ class TestSharedKernelQuadrature:
         with pytest.raises(QuadratureConvergenceError) as info:
             compute_kernels(STIFF, STIFF_T, 3, quad, ms)
         assert str(info.value) == str(first)
-        assert info.value.achieved == first.achieved
         assert _same_kernel(info.value.best, first.best)
         for m in ms:
             expected = alone[m].best if isinstance(alone[m], QuadratureConvergenceError) else alone[m]
@@ -641,3 +640,51 @@ class TestConvolutionPropagator:
         geo = LatticeGeometry.infinite(1)
         with pytest.raises(GeometryMismatchError):
             apply_propagator_torus(Field.delta(geo, (0,)), CHAIN, 1.0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteTime:
+    """A non-finite time is refused before any grid, window or transform is built."""
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_certified_window(self, t):
+        # NaN once certified the largest window, 4096
+        with pytest.raises(DomainError, match="t must be finite"):
+            certified_window(CHAIN, t, 1e-10)
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_compute_kernels_before_sampling(self, t, monkeypatch):
+        calls = []
+        real_samples = harmonic._kernel_samples
+
+        def counted(*args):
+            calls.append(args)
+            return real_samples(*args)
+
+        monkeypatch.setattr(harmonic, "_kernel_samples", counted)
+        with pytest.raises(DomainError, match="t must be finite"):
+            compute_kernels(CHAIN, t, 4)
+        assert calls == []
+
+    @pytest.mark.parametrize("params", [CHAIN, MASSLESS])
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_the_torus_propagator_and_commutator(self, params, t):
+        # NaN once gave an all-NaN field and a NaN norm
+        torus = LatticeGeometry.torus(1, half_side=4)
+        f = Field.delta(torus, (0,), 0.5j)
+        with pytest.raises(DomainError, match="t must be finite"):
+            apply_propagator_torus(f, params, t)
+        with pytest.raises(DomainError, match="t must be finite"):
+            commutator_norm(f, Field.delta(torus, (1,), 0.3), params, t)
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_the_convolution_propagator_and_commutator(self, t):
+        # NaN once refined a d = 1 grid to 1,048,576 points before failing
+        line = LatticeGeometry.infinite(1)
+        f = Field.delta(line, (0,), 0.5)
+        with pytest.raises(DomainError, match="t must be finite"):
+            apply_propagator_convolution(f, CHAIN, t)
+        with pytest.raises(DomainError, match="t must be finite"):
+            commutator_norm(f, Field.delta(line, (1,), 0.3), CHAIN, t)

@@ -224,6 +224,19 @@ class TestDecayProfile:
         with pytest.raises(DomainError):
             DecayProfile(dimension=1).value(-1.0)
 
+    @pytest.mark.parametrize(
+        "epsilon, rate, named",
+        [
+            (1.0, math.nan, "rate"),  # once passed the rate-match check of derive_constants
+            (1.0, math.inf, "rate"),
+            (math.inf, 1.0, "epsilon"),  # once gave value(1) == 0.0
+            (math.nan, 1.0, "epsilon"),
+        ],
+    )
+    def test_a_non_finite_rate_or_epsilon_is_a_named_error(self, epsilon, rate, named):
+        with pytest.raises(DomainError, match=named):
+            DecayProfile(1, epsilon, rate)
+
 
 class TestUniformNorm:
     def test_window_two_hand_value(self):

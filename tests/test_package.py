@@ -39,9 +39,8 @@ PUBLIC_NAMES = {
     "cosine_family",
     # fock
     "TruncationLeakageError", "FockConfig", "DenseOperator", "build_hamiltonian",
-    "hamiltonian_spectrum", "weyl_matrix",
-    "heisenberg_evolve", "perturbation_matrix", "perturbed_evolve", "commutator_oracle",
-    "restricted_norm", "volume_compare", "diagonalization_defect",
+    "weyl_matrix", "heisenberg_evolve", "perturbation_matrix", "perturbed_evolve",
+    "commutator_oracle", "restricted_norm", "volume_compare",
 }
 
 
