@@ -170,6 +170,10 @@ def build_hamiltonian(config: FockConfig) -> DenseOperator:
     Single-site pieces and bond squares are assembled from symmetric or
     antisymmetric real factors whose products are symmetric entry for
     entry, so the Hermiticity defect is exactly zero rather than roundoff.
+
+    The 2-site ring holds bond (0, 1) twice, and -D times -D forms the same
+    products as D D, so that square is computed once and added twice: the bits
+    of two squares (2 lam D^2 in one step would round differently).
     """
     n, cutoff = config.sites, config.cutoff
     omega, lam = config.params.omega, config.params.couplings[0]
@@ -185,9 +189,14 @@ def build_hamiltonian(config: FockConfig) -> DenseOperator:
         total += _embed(h_site, site, n, cutoff)
     if n > 1 and lam != 0.0:
         q_embedded = [_embed(q_site, site, n, cutoff) for site in range(n)]
-        for site in range(n):
-            diff = q_embedded[site] - q_embedded[(site + 1) % n]
-            total += lam * (diff @ diff)
+        diff, square = np.empty_like(total), np.empty_like(total)
+        for site in range(n if n > 2 else 1):
+            np.subtract(q_embedded[site], q_embedded[(site + 1) % n], out=diff)
+            np.matmul(diff, diff, out=square)
+            square *= lam
+            total += square
+            if n == 2:
+                total += square
     return DenseOperator(total)
 
 
@@ -212,37 +221,52 @@ def _site_amplitudes(config: FockConfig, f: Field) -> list[complex]:
     return amplitudes
 
 
-def weyl_matrix(config: FockConfig, f: Field) -> DenseOperator:
-    """Matrix Weyl operator exp(i sum_x Re f(x) q_x + Im f(x) p_x).
+def _kron_rows(factors: list[np.ndarray], keep) -> np.ndarray:
+    """Rows ``keep`` of kron(factors[0], factors[1], ...), no other row formed.  Each
+    entry is the left-to-right complex product ((1 f_0) f_1) ... that np.kron forms."""
+    digits = np.unravel_index(keep, tuple(len(factor) for factor in factors))
+    rows = np.ones((len(digits[0]), 1), dtype=complex)
+    for factor, digit in zip(factors, digits):
+        rows = (rows[:, :, None] * factor[digit, None, :]).reshape(len(rows), -1)
+    return rows
+
+
+def _weyl_factors(config: FockConfig, f: Field) -> list[np.ndarray]:
+    """Single-site factors of W(f), site 0 first, after the vacuum leakage check.
 
     Per-site generators commute, so the exponential factorizes into a
     tensor product of single-site exponentials, each from a Hermitian
-    eigendecomposition.  Truncation adequacy is checked by the vacuum
-    leakage past number cutoff - 5 and rejected above 1e-6.
+    eigendecomposition.  Truncation adequacy is checked on the vacuum
+    column of the product: its weight past number cutoff - 5 is rejected
+    above 1e-6.
     """
-    amplitudes = _site_amplitudes(config, f)
     cutoff = config.cutoff
     _, q_site, p_site = _site_matrices(cutoff)
-
-    full = np.array([[1.0]], dtype=complex)
-    for amp in amplitudes:
+    factors = []
+    for amp in _site_amplitudes(config, f):
         if amp == 0:
-            factor = np.eye(cutoff + 1, dtype=complex)
+            factors.append(np.eye(cutoff + 1, dtype=complex))
         else:
             generator = amp.real * q_site + amp.imag * p_site
             evals, evecs = np.linalg.eigh(generator)
-            factor = (evecs * np.exp(1j * evals)) @ evecs.conj().T
-        full = np.kron(full, factor)
+            factors.append((evecs * np.exp(1j * evals)) @ evecs.conj().T)
 
+    vacuum = _kron_rows([factor.T for factor in factors], [0])[0]
     past = _occupation_grid(config.sites, cutoff) > cutoff - 5
-    leakage = float(np.linalg.norm(full[:, 0][past]))
+    leakage = float(np.linalg.norm(vacuum[past]))
     if leakage > LEAKAGE_LIMIT:
         raise TruncationLeakageError(
             f"vacuum leakage {leakage:.3e} past the cutoff exceeds {LEAKAGE_LIMIT:.0e}; "
             "raise the cutoff or shrink the label",
             leakage,
         )
-    return DenseOperator(full)
+    return factors
+
+
+def weyl_matrix(config: FockConfig, f: Field) -> DenseOperator:
+    """Matrix Weyl operator exp(i sum_x Re f(x) q_x + Im f(x) p_x), the kron of its site
+    factors (:func:`_weyl_factors`); TruncationLeakageError past 1e-6 vacuum leakage."""
+    return DenseOperator(_kron_rows(_weyl_factors(config, f), np.arange(config.dimension)))
 
 
 def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -451,19 +475,24 @@ def commutator_oracle(config: FockConfig, f: Field, g: Field, t: float) -> float
 
     where moved[K,:] = U[K,:] W(f) U^* and moved[:,K] = U W(f) U[K,:]^*.
     Every product carries |K| rows or columns, so after the cached ``eigh``
-    the cost is O(|K| n^2) rather than O(n^3).
+    the cost is O(|K| n^2) rather than O(n^3).  W(g) is formed on K only
+    (:func:`_kron_rows`), and V is cast to complex once for the five mixed
+    products instead of once per product; the bits are the same.
     """
     evals, evecs, _ = _eigh(config)
     w_f = weyl_matrix(config, f).entries
-    w_g = weyl_matrix(config, g).entries
     cap = min(8, config.sites * config.cutoff)
     keep = np.flatnonzero(_occupation_grid(config.sites, config.cutoff) <= cap)
+    g_factors = _weyl_factors(config, g)
+    g_rows = _kron_rows(g_factors, keep)
+    g_columns = np.ascontiguousarray(_kron_rows([factor.T for factor in g_factors], keep).T)
 
+    vecs = evecs.astype(complex)
     phases = np.exp(1j * float(t) * evals)
-    u_rows = (evecs[keep, :] * phases) @ evecs.T
-    rows = ((u_rows @ w_f) @ evecs * phases.conj()) @ evecs.T
-    columns = evecs @ (phases[:, None] * (evecs.T @ (w_f @ u_rows.conj().T)))
-    block = rows @ w_g[:, keep] - w_g[keep, :] @ columns
+    u_rows = (evecs[keep, :] * phases) @ vecs.T
+    rows = ((u_rows @ w_f) @ vecs * phases.conj()) @ vecs.T
+    columns = vecs @ (phases[:, None] * (vecs.T @ (w_f @ u_rows.conj().T)))
+    block = rows @ g_columns - g_rows @ columns
     return _spectral_norm(block)
 
 
@@ -511,10 +540,14 @@ def volume_compare(
 
     evals_small, evecs_small, _ = dynamics(config_small)
     evals, evecs, _ = dynamics(config_large)
-    rows, back = evecs.reshape(config_small.dimension, -1), evecs.conj().T
+    rows = evecs.reshape(config_small.dimension, -1)
 
     def lifted(small: np.ndarray) -> np.ndarray:
-        return _product(back, (small @ rows).reshape(evecs.shape))
+        # V^* Y as conj(V^T conj(Y)), conjugating in place: no conjugate copy of V.
+        # Negation commutes with rounding, so a real V keeps the bits of V^T Y.
+        moved = (small @ rows).reshape(evecs.shape)
+        moved = _product(evecs.T, np.conjugate(moved, out=moved))
+        return np.conjugate(moved, out=moved)
 
     worst = 0.0
     for t in times:

@@ -40,9 +40,14 @@ from lrlattice.fock import (
     _conjugate,
     _eigh,
     _embed,
+    _kron_rows,
     _occupation_grid,
+    _phased,
+    _product,
     _site_matrices,
     _spectral_norm,
+    _site_amplitudes,
+    _weyl_factors,
 )
 from lrlattice.lattice import _is_int
 
@@ -172,6 +177,32 @@ class TestHamiltonian:
         h = build_hamiltonian(FockConfig(2, 12, CHAIN)).entries
         assert np.array_equal(h, h.T)
 
+    @pytest.mark.parametrize("sites, cutoffs", [(1, (6, 11)), (2, (6, 9, 16, 23)), (3, (6, 8))])
+    @pytest.mark.parametrize("params", [CHAIN, DECOUPLED, HarmonicParameters(0.83, (0.37,))])
+    def test_equals_the_per_bond_loop_bit_for_bit(self, sites, cutoffs, params):
+        """The 2-site ring's doubled bond, squared once and added twice, gives
+        the bits of one square per bond, in bond order."""
+
+        def per_bond(config):
+            n, cutoff = config.sites, config.cutoff
+            omega, lam = config.params.omega, config.params.couplings[0]
+            a, q_site, _ = _site_matrices(cutoff)
+            anti = a - a.T
+            h_site = -0.5 * (anti @ anti) + omega**2 * (q_site @ q_site)
+            total = np.zeros((config.dimension, config.dimension))
+            for site in range(n):
+                total += _embed(h_site, site, n, cutoff)
+            if n > 1 and lam != 0.0:
+                q_embedded = [_embed(q_site, site, n, cutoff) for site in range(n)]
+                for site in range(n):
+                    diff = q_embedded[site] - q_embedded[(site + 1) % n]
+                    total += lam * (diff @ diff)
+            return total
+
+        for cutoff in cutoffs:
+            config = FockConfig(sites, cutoff, params)
+            assert np.array_equal(build_hamiltonian(config).entries, per_bond(config))
+
     def test_single_oscillator_levels(self):
         config = FockConfig(1, 40, CHAIN)
         levels = hamiltonian_spectrum(config, 4)
@@ -219,6 +250,58 @@ class TestWeylMatrix:
         with pytest.raises(TruncationLeakageError) as err:
             weyl_matrix(config, Field.delta(GEO, (0,), 0.4))
         assert err.value.leakage > 1e-6
+
+    @staticmethod
+    def kron_weyl(config, f):
+        """W(f) as the np.kron of its site factors, and its vacuum leakage."""
+        cutoff = config.cutoff
+        _, q_site, p_site = _site_matrices(cutoff)
+        full = np.array([[1.0]], dtype=complex)
+        for amp in _site_amplitudes(config, f):
+            if amp == 0:
+                factor = np.eye(cutoff + 1, dtype=complex)
+            else:
+                evals, evecs = np.linalg.eigh(amp.real * q_site + amp.imag * p_site)
+                factor = (evecs * np.exp(1j * evals)) @ evecs.conj().T
+            full = np.kron(full, factor)
+        past = _occupation_grid(config.sites, cutoff) > cutoff - 5
+        return full, float(np.linalg.norm(full[:, 0][past]))
+
+    @pytest.mark.parametrize(
+        "sites, cutoff, label",
+        [(1, 12, 0.3 - 0.2j), (2, 10, 0.15j), (2, 16, 0.2 + 0.1j), (3, 9, 0.08 - 0.04j)],
+    )
+    def test_kron_rows_equal_np_kron_bit_for_bit(self, sites, cutoff, label):
+        config = FockConfig(sites, cutoff, CHAIN)
+        labels = [
+            Field.delta(GEO, (0,), label),
+            Field.delta(GEO, (sites - 1,), label.conjugate()),
+            Field.delta(GEO, (0,), label) + Field.delta(GEO, (sites - 1,), -0.5 * label),
+        ]
+        occupation = _occupation_grid(sites, cutoff)
+        for f in labels:
+            full, _ = self.kron_weyl(config, f)
+            assert np.array_equal(weyl_matrix(config, f).entries, full)
+            factors = _weyl_factors(config, f)
+            for keep in (
+                np.flatnonzero(occupation <= min(8, sites * cutoff)),
+                np.array([0]),
+                np.array([config.dimension - 1, 3, 0]),
+            ):
+                assert np.array_equal(_kron_rows(factors, keep), full[keep, :])
+                columns = _kron_rows([factor.T for factor in factors], keep).T
+                assert np.array_equal(columns, full[:, keep])
+
+    def test_the_oracle_raises_the_same_leakage(self):
+        config = FockConfig(2, 8, CHAIN)
+        f = Field.delta(GEO, (1,), 0.3 + 0.3j)
+        _, leakage = self.kron_weyl(config, f)
+        with pytest.raises(TruncationLeakageError) as full:
+            weyl_matrix(config, f)
+        with pytest.raises(TruncationLeakageError) as oracle:
+            commutator_oracle(config, Field.delta(GEO, (0,), 0.01), f, 0.5)
+        assert full.value.leakage == leakage > 1e-6
+        assert oracle.value.leakage == leakage
 
     def test_label_geometry_guards(self):
         config = FockConfig(2, 10, CHAIN)
@@ -429,6 +512,50 @@ class TestCommutatorOracle:
                 for t in (0.0, 0.4, 1.3):
                     expected = dense_oracle(config, f, g, t)
                     assert commutator_oracle(config, f, g, t) == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("sites, cutoff", [(2, 10), (2, 21), (3, 9)])
+    def test_equals_the_dense_weyl_formula_bit_for_bit(self, sites, cutoff):
+        """W(g) formed on K only and one complex copy of V give the bits of the
+        slab formula on the full W(g) with numpy's per-product casts."""
+
+        def slab_oracle(config, f, g, t):
+            evals, evecs, _ = _eigh(config)
+            w_f = weyl_matrix(config, f).entries
+            w_g = weyl_matrix(config, g).entries
+            cap = min(8, config.sites * config.cutoff)
+            keep = np.flatnonzero(_occupation_grid(config.sites, config.cutoff) <= cap)
+            phases = np.exp(1j * float(t) * evals)
+            u_rows = (evecs[keep, :] * phases) @ evecs.T
+            rows = ((u_rows @ w_f) @ evecs * phases.conj()) @ evecs.T
+            columns = evecs @ (phases[:, None] * (evecs.T @ (w_f @ u_rows.conj().T)))
+            return _spectral_norm(rows @ w_g[:, keep] - w_g[keep, :] @ columns)
+
+        config = FockConfig(sites, cutoff, HarmonicParameters(0.7, (0.4,)))
+        last = sites - 1
+        labels = [
+            Field.delta(GEO, (0,), 0.09),
+            Field.delta(GEO, (last,), -0.07 + 0.08j),
+            Field.delta(GEO, (0,), 0.06 - 0.05j) + Field.delta(GEO, (last,), 0.08j),
+        ]
+        for f in labels:
+            for g in labels:
+                for t in (0.0, 0.37, 1.3):
+                    assert commutator_oracle(config, f, g, t) == slab_oracle(config, f, g, t)
+
+    def test_peak_memory_holds_no_n_by_n_weyl_matrix_of_g(self):
+        # W(f), the complex copy of V and |K| x n slabs (2.29 n^2 complex
+        # entries at n = 961); an n x n W(g) would add one more
+        config = FockConfig(2, 30, CHAIN)
+        f = Field.delta(RING2, (0,), 0.3)
+        g = Field.delta(RING2, (1,), -0.2 + 0.25j)
+        commutator_oracle(config, f, g, 0.7)  # fills the eigh cache
+        tracemalloc.start()
+        try:
+            commutator_oracle(config, f, g, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.4 * config.dimension**2 * 16
 
 
 class TestPerturbationMatrix:
@@ -669,11 +796,13 @@ class TestVolumeCompare:
             measured = volume_compare(small, large, family, op, t_grid)
             assert measured == pytest.approx(value, rel=1e-13, abs=1e-13)
 
-    def test_peak_memory_is_three_buffers(self):
+    @pytest.mark.parametrize("z", [0.05, 0.04 + 0.03j])
+    def test_peak_memory_is_three_buffers(self, z):
         # The difference, and the Gram matrix and its conjugate copy inside
-        # the norm; the site-basis path held about six n x n complex arrays.
+        # the norm; the site-basis path held about six n x n complex arrays,
+        # and a conjugate copy of complex eigenvectors would be a fourth.
         small, large = FockConfig(2, 8, CHAIN), FockConfig(3, 8, CHAIN)
-        family = cosine_family(GEO, [(0,), (1,), (2,)], z=0.05)
+        family = cosine_family(GEO, [(0,), (1,), (2,)], z=z)
         op = weyl_matrix(small, Field.delta(GEO, (0,), 0.05))
         volume_compare(small, large, family, op, (0.5,))  # fills the eigh caches
         tracemalloc.start()
@@ -682,7 +811,26 @@ class TestVolumeCompare:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * large.dimension**2 * 16
+        assert peak <= 3.1 * large.dimension**2 * 16
+
+    @pytest.mark.parametrize("z", [0.05, 0.04 + 0.03j])
+    def test_lift_equals_the_conjugate_copy_bit_for_bit(self, z):
+        """V^* Y applied as conj(V^T conj(Y)) gives the bits of V^* Y with V^* formed."""
+        small, large = FockConfig(2, 8, CHAIN), FockConfig(3, 8, CHAIN)
+        family = cosine_family(GEO, [(0,), (1,), (2,)], z=z)
+        op = weyl_matrix(small, Field.delta(GEO, (0,), 0.05 - 0.02j)).entries
+        evals_small, evecs_small, _ = _eigh(small, family.restricted([(0,), (1,)]))
+        evals, evecs, _ = _eigh(large, family.restricted([(0,), (1,), (2,)]))
+        assert np.iscomplexobj(evecs) == isinstance(z, complex)
+        rows, back = evecs.reshape(small.dimension, -1), evecs.conj().T
+
+        def lifted(m):
+            return _product(back, (m @ rows).reshape(evecs.shape))
+
+        for t in (0.0, 0.3, -0.6):
+            small_t = _conjugate(evals_small, evecs_small, t, op)
+            expected = _spectral_norm(_phased(evals, -t, lifted(small_t)) - lifted(op))
+            assert volume_compare(small, large, family, DenseOperator(op), (t,)) == expected
 
     def test_validation(self):
         small = FockConfig(2, 10, CHAIN)
