@@ -3,7 +3,8 @@
 Operators are dense matrices: 1 to 3 oscillators, each truncated to boson
 numbers <= N, a periodic chain Hamiltonian, Weyl operators built as exact
 matrix exponentials, and Heisenberg / perturbed (Dyson) evolution by
-Hermitian eigendecomposition.  The commutator oracle forms only the
+Hermitian eigendecomposition.  H and the perturbation add each term as a
+block on the sites it touches; the commutator oracle forms only the
 low-occupation rows and columns it measures.  The point is independent
 ground truth for the exact-arithmetic Weyl algebra: commutator norms, the
 Weyl relation, perturbed dynamics, and finite-volume convergence can all be
@@ -108,9 +109,10 @@ class DenseOperator:
 
 
 def _spectral_norm(matrix: np.ndarray) -> float:
-    """Operator 2-norm, the root of the top eigenvalue of M^* M: one Hermitian
-    solve, as fast as an SVD at the 45 x 45 oracle block and faster above."""
+    """Operator 2-norm, the root of the top eigenvalue of M^* M: one Hermitian solve, as fast
+    as an SVD at the 45 x 45 block and faster above.  A temporary M is freed before eigvalsh."""
     gram = matrix.conj().T @ matrix
+    del matrix
     top = float(np.linalg.eigvalsh(gram)[-1])
     return math.sqrt(max(top, 0.0))
 
@@ -155,13 +157,15 @@ def _site_matrices(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, (a + a.T) / math.sqrt(2.0), (a - a.T) * (-1j / math.sqrt(2.0))
 
 
-def _embed(factor: np.ndarray, site: int, sites: int, cutoff: int) -> np.ndarray:
-    """Tensor a single-site matrix into position ``site`` (site 0 leftmost)."""
-    out = np.array([[1.0]])
-    eye = np.eye(cutoff + 1)
-    for position in range(sites):
-        out = np.kron(out, factor if position == site else eye)
-    return out
+def _add_local(total: np.ndarray, block: np.ndarray, sites, config: FockConfig) -> None:
+    """total += block (x) identity, the block on ``sites`` in its own factor order: through
+    a view, only entries where the other sites agree get the block's entry, as np.kron."""
+    n, d = config.sites, config.cutoff + 1
+    rest = [site for site in range(n) if site not in sites]
+    axes = [a for site in rest for a in (site, n + site)] + [*sites] + [n + site for site in sites]
+    view = total.reshape((d,) * 2 * n).transpose(axes)
+    paired = "".join(2 * chr(ord("a") + k) for k in range(len(rest)))
+    np.einsum(f"{paired}...->{paired[::2]}...", view)[...] += block.reshape((d,) * 2 * len(sites))
 
 
 def build_hamiltonian(config: FockConfig) -> DenseOperator:
@@ -171,32 +175,28 @@ def build_hamiltonian(config: FockConfig) -> DenseOperator:
     antisymmetric real factors whose products are symmetric entry for
     entry, so the Hermiticity defect is exactly zero rather than roundoff.
 
-    The 2-site ring holds bond (0, 1) twice, and -D times -D forms the same
-    products as D D, so that square is computed once and added twice: the bits
-    of two squares (2 lam D^2 in one step would round differently).
+    Terms go in site-locally: lam D^2, D = q (x) 1 - 1 (x) q, is one GEMM on two sites, added
+    on each bond (s, s + 1 mod n), twice on (0, 1) for 2 sites (-D -D forms the products of D D;
+    2 lam D^2 would round otherwise).  On 3 sites it moves entries by < eps max|H|.
     """
     n, cutoff = config.sites, config.cutoff
     omega, lam = config.params.omega, config.params.couplings[0]
     a, q_site, _ = _site_matrices(cutoff)
-    # p^2 = -(a - a^T)^2 / 2 stays real; the antisymmetric factor squares
-    # to an exactly symmetric matrix.
+    # p^2 = -(a - a^T)^2 / 2 stays real: the antisymmetric factor squares exactly symmetric
     anti = a - a.T
-    p_sq_site = -0.5 * (anti @ anti)
-    h_site = p_sq_site + omega**2 * (q_site @ q_site)
+    h_site = -0.5 * (anti @ anti) + omega**2 * (q_site @ q_site)
 
     total = np.zeros((config.dimension, config.dimension))
     for site in range(n):
-        total += _embed(h_site, site, n, cutoff)
+        _add_local(total, h_site, (site,), config)
     if n > 1 and lam != 0.0:
-        q_embedded = [_embed(q_site, site, n, cutoff) for site in range(n)]
-        diff, square = np.empty_like(total), np.empty_like(total)
-        for site in range(n if n > 2 else 1):
-            np.subtract(q_embedded[site], q_embedded[(site + 1) % n], out=diff)
-            np.matmul(diff, diff, out=square)
-            square *= lam
-            total += square
-            if n == 2:
-                total += square
+        eye = np.eye(cutoff + 1)
+        diff = np.kron(q_site, eye) - np.kron(eye, q_site)
+        square = diff @ diff
+        square *= lam
+        for site in range(n):
+            # the 2-site ring's (1, 0) is (0, 1) again: a swapped square sums in another order
+            _add_local(total, square, (site, (site + 1) % n) if n > 2 else (0, 1), config)
     return DenseOperator(total)
 
 
@@ -224,8 +224,8 @@ def _site_amplitudes(config: FockConfig, f: Field) -> list[complex]:
 def _kron_rows(factors: list[np.ndarray], keep) -> np.ndarray:
     """Rows ``keep`` of kron(factors[0], factors[1], ...), no other row formed.  Each
     entry is the left-to-right complex product ((1 f_0) f_1) ... that np.kron forms."""
-    digits = np.unravel_index(keep, tuple(len(factor) for factor in factors))
-    rows = np.ones((len(digits[0]), 1), dtype=complex)
+    digits = np.unravel_index(keep, tuple(len(factor) for factor in factors)) if factors else ()
+    rows = np.ones((len(keep), 1), dtype=complex)
     for factor, digit in zip(factors, digits):
         rows = (rows[:, :, None] * factor[digit, None, :]).reshape(len(rows), -1)
     return rows
@@ -301,7 +301,7 @@ def heisenberg_evolve(config: FockConfig, operator: DenseOperator, t: float) -> 
     """Free Heisenberg evolution by unitary conjugation."""
     if operator.dim != config.dimension:
         raise DomainError("operator dimension does not match the configuration")
-    evals, evecs, _ = _eigh(config)
+    evals, evecs = _eigh(config)
     return DenseOperator(_conjugate(evals, evecs, float(t), operator.entries))
 
 
@@ -313,32 +313,34 @@ def perturbation_matrix(config: FockConfig, family: PerturbationFamily) -> Dense
     every label z is real, W = e^{i z q} is symmetric and the sum equals its
     real part, so the matrix is accumulated and returned real (and exactly
     symmetric, since Re(W_ij + conj W_ji) = Re W_ij + Re W_ji); H + P and
-    everything built from it then stay in real arithmetic.
+    everything built from it then stay in real arithmetic.  Each W is formed
+    on the sites its atom touches, with the entries of the n x n W.
     """
     real = all(v.imag == 0 for m in family.measures for z, _ in m.atoms for v in z)
     total = np.zeros((config.dimension, config.dimension), dtype=float if real else complex)
     geometry = family.geometry
     for measure in family.measures:
         for z, weight in measure.atoms:
-            if all(value == 0 for value in z):
-                total += weight * np.eye(config.dimension)
-                continue
             field = Field(geometry, dict(zip(measure.sites, z)))
-            w_matrix = weyl_matrix(config, field).entries
-            w_matrix = w_matrix.real if real else w_matrix
-            total += weight * (w_matrix + w_matrix.conj().T)
+            factors = _weyl_factors(config, field)
+            sites = [s for s, amp in enumerate(_site_amplitudes(config, field)) if amp != 0]
+            w = _kron_rows([factors[s] for s in sites], np.arange(len(factors[0]) ** len(sites)))
+            w = w.real if real else w
+            # a self-mirrored zero atom (W = 1) contributes its weight once
+            _add_local(total, weight * (w + w.conj().T if any(z) else w), sites, config)
     return DenseOperator(total)
 
 
 @lru_cache(maxsize=2)
 def _eigh(config: FockConfig, family: PerturbationFamily | None = None):
-    """(evals, evecs, P) of H, or of H + P for a ``family`` with measures; P is None
-    for H.  Two entries hold one request: H and H + P, or volume_compare's two volumes."""
+    """(evals, evecs) of H, or of H + P for a ``family`` with measures (P is added in place
+    when real).  Two entries hold one request: H and H + P, or volume_compare's volumes."""
     h = build_hamiltonian(config).entries
-    if family is None:
-        return *np.linalg.eigh(h), None
-    p = perturbation_matrix(config, family).entries
-    return *np.linalg.eigh(h + p), p
+    if family is not None:
+        p = perturbation_matrix(config, family).entries
+        h = np.add(h, p, out=h if p.dtype == h.dtype else None)
+        del p  # freed before eigh copies H + P
+    return np.linalg.eigh(h)
 
 
 def _bracket(q: np.ndarray, m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -439,15 +441,15 @@ def perturbed_evolve(
         evolved = heisenberg_evolve(config, operator, t)
         return evolved, 0.0
 
-    evals_h, evecs_h, _ = _eigh(config)
-    evals_p, evecs_p, p_entries = _eigh(config, family)
+    evals_h, evecs_h = _eigh(config)
+    evals_p, evecs_p = _eigh(config, family)
     a_entries = operator.entries
 
     back_p = evecs_p.conj().T
     a_p = _rotate(back_p, a_entries, evecs_p)
     a_h = _rotate(evecs_h.conj().T, a_entries, evecs_h)
     overlap = back_p @ evecs_h
-    p_cross = back_p @ p_entries @ evecs_h
+    p_cross = back_p @ perturbation_matrix(config, family).entries @ evecs_h
 
     def node(s):
         return _phased(evals_p, s, _bracket(p_cross, overlap, _phased(evals_h, t - s, a_h)))
@@ -479,7 +481,7 @@ def commutator_oracle(config: FockConfig, f: Field, g: Field, t: float) -> float
     (:func:`_kron_rows`), and V is cast to complex once for the five mixed
     products instead of once per product; the bits are the same.
     """
-    evals, evecs, _ = _eigh(config)
+    evals, evecs = _eigh(config)
     w_f = weyl_matrix(config, f).entries
     cap = min(8, config.sites * config.cutoff)
     keep = np.flatnonzero(_occupation_grid(config.sites, config.cutoff) <= cap)
@@ -538,8 +540,8 @@ def volume_compare(
         # without measures, H under the one key every reader of H uses
         return _eigh(config, part) if part.measures else _eigh(config)
 
-    evals_small, evecs_small, _ = dynamics(config_small)
-    evals, evecs, _ = dynamics(config_large)
+    evals_small, evecs_small = dynamics(config_small)
+    evals, evecs = dynamics(config_large)
     rows = evecs.reshape(config_small.dimension, -1)
 
     def lifted(small: np.ndarray) -> np.ndarray:
@@ -549,11 +551,9 @@ def volume_compare(
         moved = _product(evecs.T, np.conjugate(moved, out=moved))
         return np.conjugate(moved, out=moved)
 
-    worst = 0.0
-    for t in times:
-        # conj(Phi) on S_t's side; lift(A) is redone per time, so it is freed before the norm
+    def difference(t: float) -> np.ndarray:
+        # conj(Phi) on S_t's side; lift(A) is redone per time, so the norm frees all n x n
         small_t = _conjugate(evals_small, evecs_small, t, operator.entries)
-        difference = _phased(evals, -t, lifted(small_t))
-        difference -= lifted(operator.entries)
-        worst = max(worst, _spectral_norm(difference))
-    return worst
+        return _phased(evals, -t, lifted(small_t)) - lifted(operator.entries)
+
+    return max(_spectral_norm(difference(t)) for t in times)

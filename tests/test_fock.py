@@ -37,9 +37,9 @@ from lrlattice import (
 )
 from lrlattice import fock
 from lrlattice.fock import (
+    _add_local,
     _conjugate,
     _eigh,
-    _embed,
     _kron_rows,
     _occupation_grid,
     _phased,
@@ -63,17 +63,26 @@ def identity(dim):
     return DenseOperator(np.eye(dim))
 
 
+def embed(factor, site, sites, cutoff):
+    """Tensor a single-site matrix into position ``site`` (site 0 leftmost) with np.kron."""
+    out = np.array([[1.0]])
+    eye = np.eye(cutoff + 1)
+    for position in range(sites):
+        out = np.kron(out, factor if position == site else eye)
+    return out
+
+
 def site_q_p(config, site):
     """Position and momentum of one site, embedded in the product space."""
     _, q, p = _site_matrices(config.cutoff)
-    return tuple(_embed(m, site, config.sites, config.cutoff) for m in (q, p))
+    return tuple(embed(m, site, config.sites, config.cutoff) for m in (q, p))
 
 
 def hamiltonian_spectrum(config: FockConfig, count: int = 8) -> np.ndarray:
     """The ``count`` lowest eigenvalues of the truncated Hamiltonian."""
     if not _is_int(count) or count < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")
-    evals, _, _ = _eigh(config)
+    evals, _ = _eigh(config)
     return np.array(evals[:count])
 
 
@@ -89,8 +98,8 @@ def diagonalization_defect(config: FockConfig) -> float:
         raise SingularModeError("the k = 0 mode has no normal form when omega = 0")
     n, cutoff = config.sites, config.cutoff
     _, q_site, p_site = _site_matrices(cutoff)
-    q_sites = [_embed(q_site, x, n, cutoff) for x in range(n)]
-    p_sites = [_embed(p_site, x, n, cutoff) for x in range(n)]
+    q_sites = [embed(q_site, x, n, cutoff) for x in range(n)]
+    p_sites = [embed(p_site, x, n, cutoff) for x in range(n)]
     dim = config.dimension
 
     check = np.zeros((dim, dim), dtype=complex)
@@ -181,7 +190,10 @@ class TestHamiltonian:
     @pytest.mark.parametrize("params", [CHAIN, DECOUPLED, HarmonicParameters(0.83, (0.37,))])
     def test_equals_the_per_bond_loop_bit_for_bit(self, sites, cutoffs, params):
         """The 2-site ring's doubled bond, squared once and added twice, gives
-        the bits of one square per bond, in bond order."""
+        the bits of one square per bond, in bond order.  On 3 sites the bond
+        square is a GEMM on two sites instead of n x n, whose sums of a few
+        nonzero products run in another order: within 64 eps max|H| (measured
+        below 1 eps max|H|), and still exactly symmetric."""
 
         def per_bond(config):
             n, cutoff = config.sites, config.cutoff
@@ -191,9 +203,9 @@ class TestHamiltonian:
             h_site = -0.5 * (anti @ anti) + omega**2 * (q_site @ q_site)
             total = np.zeros((config.dimension, config.dimension))
             for site in range(n):
-                total += _embed(h_site, site, n, cutoff)
+                total += embed(h_site, site, n, cutoff)
             if n > 1 and lam != 0.0:
-                q_embedded = [_embed(q_site, site, n, cutoff) for site in range(n)]
+                q_embedded = [embed(q_site, site, n, cutoff) for site in range(n)]
                 for site in range(n):
                     diff = q_embedded[site] - q_embedded[(site + 1) % n]
                     total += lam * (diff @ diff)
@@ -201,7 +213,13 @@ class TestHamiltonian:
 
         for cutoff in cutoffs:
             config = FockConfig(sites, cutoff, params)
-            assert np.array_equal(build_hamiltonian(config).entries, per_bond(config))
+            h, expected = build_hamiltonian(config).entries, per_bond(config)
+            if sites < 3:
+                assert np.array_equal(h, expected)
+            else:
+                scale = np.finfo(float).eps * np.max(np.abs(expected))
+                assert np.max(np.abs(h - expected)) <= 64 * scale
+                assert np.array_equal(h, h.T)
 
     def test_single_oscillator_levels(self):
         config = FockConfig(1, 40, CHAIN)
@@ -227,6 +245,37 @@ class TestHamiltonian:
         config = FockConfig(1, 10, CHAIN)
         expected = hamiltonian_spectrum(config, 3)
         assert np.array_equal(hamiltonian_spectrum(config, np.int64(3)), expected)
+
+
+class TestAddLocal:
+    @staticmethod
+    def kron_embedding(block, sites, config):
+        """block (x) identity by np.kron, its site axes then moved from (sites, rest) to 0..n-1."""
+        n, d = config.sites, config.cutoff + 1
+        order = [*sites, *(s for s in range(n) if s not in sites)]
+        full = np.kron(block, np.eye(d ** (n - len(sites))))
+        axes = [order.index(s) for s in range(n)]
+        moved = full.reshape((d,) * 2 * n).transpose(axes + [n + a for a in axes])
+        return moved.reshape(full.shape)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize(
+        "sites, touched",
+        [(1, (0,)), (2, (0,)), (2, (1,)), (2, (0, 1)), (3, (0,)), (3, (1,)), (3, (2,)),
+         (3, (0, 1)), (3, (1, 2)), (3, (2, 0))],
+    )
+    def test_equals_the_np_kron_embedding_bit_for_bit(self, sites, touched, dtype):
+        config = FockConfig(sites, 6, CHAIN)
+        rng = np.random.default_rng(11)
+
+        def draw(size):
+            real = rng.normal(size=(size, size))
+            return real + 1j * rng.normal(size=(size, size)) if dtype is complex else real
+
+        block, total = draw((config.cutoff + 1) ** len(touched)), draw(config.dimension)
+        expected = total + self.kron_embedding(block, touched, config)
+        _add_local(total, block, touched, config)
+        assert np.array_equal(total, expected)
 
 
 class TestWeylMatrix:
@@ -387,7 +436,7 @@ class TestEigenbasisConjugation:
     def test_heisenberg_evolution_matches_the_site_basis_propagators(self):
         config = FockConfig(2, 10, CHAIN)
         w = weyl_matrix(config, Field.delta(GEO, (1,), -0.1 + 0.12j))
-        evals, evecs, _ = _eigh(config)
+        evals, evecs = _eigh(config)
         for t in (0.0, 0.4, 1.3):
             expected = site_basis_conjugate(evals, evecs, t, w.entries)
             moved = heisenberg_evolve(config, w, t).entries
@@ -519,7 +568,7 @@ class TestCommutatorOracle:
         slab formula on the full W(g) with numpy's per-product casts."""
 
         def slab_oracle(config, f, g, t):
-            evals, evecs, _ = _eigh(config)
+            evals, evecs = _eigh(config)
             w_f = weyl_matrix(config, f).entries
             w_g = weyl_matrix(config, g).entries
             cap = min(8, config.sites * config.cutoff)
@@ -581,6 +630,53 @@ class TestPerturbationMatrix:
         p = perturbation_matrix(config, family)
         assert np.max(np.abs(p.entries - 0.7 * np.eye(config.dimension))) == 0.0
 
+    @staticmethod
+    def full_weyl_assembly(config, family):
+        """The n x n assembly: weyl_matrix per atom, then weight (W + W^dag)."""
+        real = all(v.imag == 0 for m in family.measures for z, _ in m.atoms for v in z)
+        total = np.zeros((config.dimension, config.dimension), dtype=float if real else complex)
+        for measure in family.measures:
+            for z, weight in measure.atoms:
+                if all(value == 0 for value in z):
+                    total += weight * np.eye(config.dimension)
+                    continue
+                field = Field(family.geometry, dict(zip(measure.sites, z)))
+                w = weyl_matrix(config, field).entries
+                w = w.real if real else w
+                total += weight * (w + w.conj().T)
+        return total
+
+    @pytest.mark.parametrize(
+        "sites, kind",
+        [(2, "ring"), *((n, k) for n in (2, 3) for k in ("real", "complex", "zero, two-site"))],
+    )
+    def test_equals_the_full_weyl_assembly_bit_for_bit(self, sites, kind):
+        from lrlattice import AtomicWeylMeasure
+
+        config = FockConfig(sites, 10 if sites == 2 else 9, CHAIN)
+        chain = [(s,) for s in range(sites)]
+        if kind == "ring":
+            family = cosine_family(RING2, chain, z=0.1 - 0.06j, weight=0.8)
+        elif kind == "zero, two-site":
+            measures = (
+                AtomicWeylMeasure(sites=((0,),), atoms=(((0j,), 0.7), ((0.1,), 0.3))),
+                AtomicWeylMeasure(sites=((0,), (sites - 1,)), atoms=(((0.08, -0.05j), 0.4),)),
+                AtomicWeylMeasure(sites=((0,), (1,)), atoms=(((0.06, 0.0), 0.25),)),
+            )
+            family = PerturbationFamily(GEO, tuple(chain), measures)
+        else:
+            family = cosine_family(GEO, chain, z=0.12 if kind == "real" else 0.1 + 0.05j)
+        p = perturbation_matrix(config, family).entries
+        expected = self.full_weyl_assembly(config, family)
+        assert p.dtype == expected.dtype
+        assert np.array_equal(p, expected)
+
+    def test_a_leaking_atom_raises(self):
+        config = FockConfig(3, 8, CHAIN)
+        with pytest.raises(TruncationLeakageError) as err:
+            perturbation_matrix(config, cosine_family(GEO, [(0,), (2,)], z=0.4))
+        assert err.value.leakage > 1e-6
+
     def test_norm_bounded_by_total_mass(self):
         config = FockConfig(2, 10, CHAIN)
         family = cosine_family(GEO, [(0,), (1,)], z=0.2, weight=0.5)
@@ -591,7 +687,7 @@ class TestPerturbationMatrix:
 def direct_simpson_residual(config, family, w, t, steps):
     """The Simpson residual with both propagators applied as full matrices at every node."""
     p_entries = perturbation_matrix(config, family).entries
-    evals_h, evecs_h, _ = _eigh(config)
+    evals_h, evecs_h = _eigh(config)
     evals_p, evecs_p = np.linalg.eigh(build_hamiltonian(config).entries + p_entries)
     evolved = site_basis_conjugate(evals_p, evecs_p, t, w.entries)
     free = site_basis_conjugate(evals_h, evecs_h, t, w.entries)
@@ -819,8 +915,8 @@ class TestVolumeCompare:
         small, large = FockConfig(2, 8, CHAIN), FockConfig(3, 8, CHAIN)
         family = cosine_family(GEO, [(0,), (1,), (2,)], z=z)
         op = weyl_matrix(small, Field.delta(GEO, (0,), 0.05 - 0.02j)).entries
-        evals_small, evecs_small, _ = _eigh(small, family.restricted([(0,), (1,)]))
-        evals, evecs, _ = _eigh(large, family.restricted([(0,), (1,), (2,)]))
+        evals_small, evecs_small = _eigh(small, family.restricted([(0,), (1,)]))
+        evals, evecs = _eigh(large, family.restricted([(0,), (1,), (2,)]))
         assert np.iscomplexobj(evecs) == isinstance(z, complex)
         rows, back = evecs.reshape(small.dimension, -1), evecs.conj().T
 
@@ -831,6 +927,24 @@ class TestVolumeCompare:
             small_t = _conjugate(evals_small, evecs_small, t, op)
             expected = _spectral_norm(_phased(evals, -t, lifted(small_t)) - lifted(op))
             assert volume_compare(small, large, family, DenseOperator(op), (t,)) == expected
+
+    @pytest.mark.parametrize("z", [0.05, 0.04 + 0.03j])
+    def test_a_cold_call_keeps_no_perturbation_matrix(self, z):
+        # A cold call also allocates the large volume's cached eigenvectors,
+        # which outlive it; the parent also cached P (4.03 and 5.04 n^2 16 B).
+        small, large = FockConfig(2, 8, CHAIN), FockConfig(3, 8, CHAIN)
+        family = cosine_family(GEO, [(0,), (1,), (2,)], z=z)
+        op = weyl_matrix(small, Field.delta(GEO, (0,), 0.05))
+        _eigh.cache_clear()
+        tracemalloc.start()
+        try:
+            volume_compare(small, large, family, op, (0.5,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cached = _eigh(large, family.restricted([(0,), (1,), (2,)]))
+        assert len(cached) == 2
+        assert peak <= 3.1 * large.dimension**2 * 16 + cached[1].nbytes
 
     def test_validation(self):
         small = FockConfig(2, 10, CHAIN)
