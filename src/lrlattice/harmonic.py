@@ -68,6 +68,10 @@ MU_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 # Grid doublings a kernel quadrature may take past its starting grid.
 MAX_REFINEMENTS = 6
 
+# Quadrature nodes sampled at once: a larger grid is walked in slabs of
+# axis-0 indices, each holding about this many nodes (at least one row).
+SLAB_NODES = 2**16
+
 
 class SingularModeError(ArithmeticError):
     """The dispersion vanishes at the requested mode (omega = 0 at k = 0)."""
@@ -161,8 +165,9 @@ def _gamma_grid(params: HarmonicParameters, axes: list[np.ndarray]) -> np.ndarra
         contrib = 4.0 * params.couplings[j] * np.sin(ax / 2.0) ** 2
         shape = [1] * d
         shape[j] = len(ax)
-        total = total + contrib.reshape(shape)
-    return np.sqrt(params.omega**2 + total)
+        total += contrib.reshape(shape)
+    total += params.omega**2
+    return np.sqrt(total, out=total)
 
 
 def bogoliubov_multipliers(params: HarmonicParameters, k) -> tuple[float, float]:
@@ -424,40 +429,67 @@ def _kernel_samples(
     """Midpoint-rule values of the kernels ``ms`` at integer sites, on one grid.
 
     On the offset grid the quadrature sum is a phase-corrected inverse DFT,
-    so all sites in the box (-points/2, points/2)^d come out of a single
-    transform per kernel.  gamma and the phase exp(-2 i gamma t) are built
-    once and every transform runs in place, so at most three grids are live:
-    gamma, the phase and one work buffer.  m = 1 goes first, then m = -1
-    (which turns gamma into 1 / gamma), and m = 0 transforms the phase
-    itself.  For m = -1 only the imaginary part is kept, which is the member
-    that stays bounded at a massless conical point.
+    so all sites in the box (-points/2, points/2)^d come out of one inverse
+    transform per kernel, taken axis by axis from the last, as ``ifftn``
+    does.  The grid is walked in slabs of axis-0 indices of about
+    :data:`SLAB_NODES` nodes (a chain is one slab).  In each slab gamma and
+    the phase exp(-2 i gamma t) are built once: m = 1 goes first, then
+    m = -1 (which turns gamma into 1 / gamma), and m = 0 transforms the
+    phase itself.  After each of axes d-1, ..., 1 only the residues -R..R
+    (mod points) are kept, R the largest |x_j| among the sites, and axis 0
+    is transformed once every slab is in.  Each line meets the same input
+    in the same axis order, so every sample equals the full ``ifftn``'s bit
+    for bit.  For m = -1 only the imaginary part is kept, which is the
+    member that stays bounded at a massless conical point.
     """
     d = params.dimension
-    gam = _gamma_grid(params, [_offset_axis(points)] * d)
-    phase = np.multiply(-2j, gam)
-    np.multiply(phase, t, out=phase)
-    np.exp(phase, out=phase)
-
-    index = tuple(sites[:, j] % points for j in range(d))
+    axis = _offset_axis(points)
+    radius = int(np.abs(sites[:, 1:]).max(initial=0))
+    kept = np.arange(-radius, radius + 1)
+    index = (sites[:, 0] % points, *(sites[:, j] + radius for j in range(1, d)))
     base = np.exp(1j * (np.pi / points - np.pi))
     shift = np.ones(len(sites), dtype=complex)
     for j in range(d):
         shift = shift * base ** sites[:, j]
 
+    def finish(grid, m):
+        vals = np.fft.ifft(grid, axis=0, out=grid)[index] * shift
+        return np.real(vals) if m == 0 else np.imag(vals)
+
     order = [m for m in (1, -1, 0) if m in ms]
-    # The last transform may overwrite the phase; earlier ones need a copy.
-    work = np.empty_like(phase) if len(order) > 1 else phase
+    # A chain has nothing to prune, so it is one slab.  With one slab each
+    # kernel finishes at once; otherwise its pruned slabs gather in a
+    # (points, K, ..., K) buffer, K = 2R + 1.
+    slabs = range(0, points, max(SLAB_NODES // points ** (d - 1), 1) if d > 1 else points)
+    shape = (points,) + (len(kept),) * (d - 1)
+    pruned = {} if len(slabs) == 1 else {m: np.empty(shape, dtype=complex) for m in order}
     out = {}
-    for m in order:
-        if m == 0:
-            grid = phase
-        else:
-            if m == -1:
-                np.divide(1.0, gam, out=gam)
-            grid = phase if m == order[-1] else work
-            np.multiply(gam, phase, out=grid)
-        vals = np.fft.ifftn(grid, out=grid)[index] * shift
-        out[m] = np.real(vals) if m == 0 else np.imag(vals)
+    for lo in slabs:
+        rows = slice(lo, lo + slabs.step)
+        gam = _gamma_grid(params, [axis[rows]] + [axis] * (d - 1))
+        phase = np.multiply(-2j, gam)
+        np.multiply(phase, t, out=phase)
+        np.exp(phase, out=phase)
+        # The last kernel may overwrite the phase; earlier ones need a copy.
+        work = np.empty_like(phase) if len(order) > 1 else phase
+        for m in order:
+            if m == 0:
+                grid = phase
+            else:
+                if m == -1:
+                    np.divide(1.0, gam, out=gam)
+                grid = phase if m == order[-1] else work
+                np.multiply(gam, phase, out=grid)
+            for a in range(d - 1, 0, -1):
+                np.fft.ifft(grid, axis=a, out=grid)
+                dest = pruned[m][rows] if pruned and a == 1 else None
+                grid = np.take(grid, kept, axis=a, out=dest, mode="wrap")
+            if not pruned:
+                out[m] = finish(grid, m)
+        # Free this slab before the next one is built.
+        del gam, phase, work, grid
+    for m, grid in pruned.items():
+        out[m] = finish(grid, m)
     return out
 
 
@@ -482,12 +514,17 @@ def compute_kernels(
     if window_radius < 0:
         raise DomainError("window_radius must be nonnegative")
     _check_time(t)
+    if not ms:
+        raise DomainError("compute_kernels needs at least one kernel index")
+    if any(m not in (-1, 0, 1) for m in ms):
+        raise DomainError("kernel index m must be -1, 0, or 1")
     quad = quad or QuadratureSpec()
     d = params.dimension
     sites = ball_sites(d, window_radius)
 
-    # Keep the full tensor grid under ~16M nodes so refinement cannot
-    # exhaust memory; the cap is generous for d <= 2 and modest for d = 3.
+    # Keep the full tensor grid under ~16M nodes, which bounds the time a
+    # quadrature can take (memory stays at a slab); the cap is generous for
+    # d <= 2 and modest for d = 3.
     max_points = max(int(round((2**24) ** (1.0 / d))), 16)
 
     points = quad.points_per_axis
@@ -502,8 +539,6 @@ def compute_kernels(
             f"kernel window {window_radius} needs a starting grid of {points} points "
             f"per axis, and no refinement fits under the cap of {max_points}"
         )
-    if any(m not in (-1, 0, 1) for m in ms):
-        raise DomainError("kernel index m must be -1, 0, or 1")
 
     tol = quad.refinement_tolerance
     samples = _kernel_samples(params, t, sites, points, ms)

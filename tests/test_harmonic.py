@@ -303,6 +303,31 @@ class TestKernelStructure:
             compute_kernel(CHAIN, 0, 1.0, 2.5)
 
 
+# The quadrature on whole grids: gamma, each kernel's product and one full
+# out-of-place ifftn.  The slabbed, pruned samples must equal it bit for bit.
+def _full_ifftn_samples(params, t, sites, points, ms):
+    d = params.dimension
+    axis = harmonic._offset_axis(points)
+    total = np.zeros((points,) * d)
+    for j in range(d):
+        shape = [1] * d
+        shape[j] = points
+        total = total + (4.0 * params.couplings[j] * np.sin(axis / 2.0) ** 2).reshape(shape)
+    gam = np.sqrt(params.omega**2 + total)
+    phase = np.exp(np.multiply(np.multiply(-2j, gam), t))
+    base = np.exp(1j * (np.pi / points - np.pi))
+    shift = np.ones(len(sites), dtype=complex)
+    for j in range(d):
+        shift = shift * base ** sites[:, j]
+    out = {}
+    for m in (1, -1, 0):
+        if m in ms:
+            grid = {1: gam * phase, -1: (1.0 / gam) * phase, 0: phase}[m]
+            vals = np.fft.ifftn(grid)[tuple((sites % points).T)] * shift
+            out[m] = np.real(vals) if m == 0 else np.imag(vals)
+    return out
+
+
 # The per-index doubling loop on fresh, out-of-place grids (gamma, phase and
 # FFT rebuilt for every kernel); the shared in-place loop must reproduce it
 # bit for bit.
@@ -312,15 +337,7 @@ def _reference_kernel(params, m, t, window, quad):
     max_points = max(int(round((2**24) ** (1.0 / d))), 16)
 
     def sample(points):
-        gam = harmonic._gamma_grid(params, [harmonic._offset_axis(points)] * d)
-        pref = {0: 1.0, 1: gam, -1: 1.0 / gam}[m]
-        vals = np.fft.ifftn(pref * np.exp(-2j * gam * t))[tuple((sites % points).T)]
-        base = np.exp(1j * (np.pi / points - np.pi))
-        shift = np.ones(len(sites), dtype=complex)
-        for j in range(d):
-            shift = shift * base ** sites[:, j]
-        vals = vals * shift
-        return np.real(vals) if m == 0 else np.imag(vals)
+        return _full_ifftn_samples(params, t, sites, points, (m,))[m]
 
     points = quad.points_per_axis + quad.points_per_axis % 2
     while points < 2 * (window + 1):
@@ -390,8 +407,10 @@ class TestSharedKernelQuadrature:
             assert _same_kernel(info.value.kernels[m], expected)
 
     def test_transforms_run_in_place(self):
-        # gamma (8 bytes a node), the phase and one work buffer (16 each):
-        # a grid more, or an out-of-place FFT, would pass 44 bytes a node.
+        # One slab's gamma (8 bytes a node), phase and work buffer (16 each),
+        # at most 16 more a node for its first pruned copy, and each kernel's
+        # (P, K, K) buffer of kept residues; nothing grows like P^3.  The
+        # full grids need 40 bytes a node: 84 MB here, against about 4 MB.
         cube = HarmonicParameters(omega=1.0, couplings=(1.0, 1.0, 1.0))
         tracemalloc.start()
         try:
@@ -400,7 +419,49 @@ class TestSharedKernelQuadrature:
         finally:
             tracemalloc.stop()
         finest = max(k.points_per_axis for k in kernels.values())
-        assert peak <= 44 * finest**3
+        assert finest**3 > 8 * harmonic.SLAB_NODES
+        kept = 2 * 6 + 1
+        assert peak <= 56 * harmonic.SLAB_NODES + 3 * 16 * finest * kept**2
+
+    def test_an_empty_index_list_is_refused_before_sampling(self, monkeypatch):
+        # it once built the full gamma and phase grids and returned {}
+        calls = []
+        monkeypatch.setattr(harmonic, "_gamma_grid", lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match="at least one kernel index"):
+            compute_kernels(CHAIN, 1.0, 4, ms=())
+        assert calls == []
+
+    def test_a_bad_index_is_refused_before_the_cap_check(self):
+        # window 64 in d = 3 is past the grid cap, which once answered first
+        cube = HarmonicParameters(omega=1.0, couplings=(1.0, 1.0, 1.0))
+        with pytest.raises(DomainError, match="must be -1, 0, or 1"):
+            compute_kernels(cube, 1.0, 64, ms=(0, 2))
+        with pytest.raises(QuadratureConvergenceError):
+            compute_kernels(cube, 1.0, 64, ms=(0,))
+
+
+class TestSlabbedKernelSamples:
+    @pytest.mark.parametrize("rows", [1, 3, None], ids=["1-row", "3-rows", "one-slab"])
+    @pytest.mark.parametrize("ms", [(1, 0, -1), (-1, 1), (0,)])
+    @pytest.mark.parametrize(
+        "d, points, window",
+        [(1, 16, 7), (2, 16, 2), (2, 16, 7), (3, 16, 7), (3, 64, 8)],
+        ids=["d1-edge", "d2", "d2-edge", "d3-edge", "d3-window8"],
+    )
+    @pytest.mark.parametrize("omega, t", [(0.0, 0.9), (1.3, 0.0), (1.3, 0.9)])
+    def test_matches_the_full_ifftn_bit_for_bit(
+        self, rows, ms, d, points, window, omega, t, monkeypatch
+    ):
+        # "edge" windows reach points/2 - 1, the last site the grid resolves;
+        # 3 rows do not divide the grid, so the last slab is short
+        monkeypatch.setattr(harmonic, "SLAB_NODES", (rows or points) * points ** (d - 1))
+        params = HarmonicParameters(omega=omega, couplings=(1.0, 0.8, 1.2)[:d])
+        sites = harmonic.ball_sites(d, window)
+        got = harmonic._kernel_samples(params, t, sites, points, ms)
+        expected = _full_ifftn_samples(params, t, sites, points, ms)
+        assert list(got) == list(expected)
+        for m in ms:
+            assert got[m].tobytes() == expected[m].tobytes()
 
 
 class TestEnvelopes:
