@@ -15,8 +15,6 @@ the certified one.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -299,10 +297,7 @@ def cone_scan(
             np.hypot(against_imag.real, against_imag.imag),
         )
 
-    # Slices are independent and collected in input order, so the result
-    # does not depend on the thread count.
-    with ThreadPoolExecutor(max_workers=min(len(t_grid), os.cpu_count() or 1)) as pool:
-        rows = list(pool.map(one_slice, t_grid))
+    rows = [one_slice(t) for t in t_grid]
     return ConeScan(
         params=params,
         sites=sites,

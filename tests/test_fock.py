@@ -38,6 +38,7 @@ from lrlattice import (
 from lrlattice import fock
 from lrlattice.fock import (
     _add_local,
+    _column_blocks,
     _conjugate,
     _eigh,
     _kron_rows,
@@ -157,6 +158,46 @@ class TestDenseOperator:
         assert a.norm() == pytest.approx(3.0)
         assert (a - a).norm() == 0.0
         assert (a - identity(2)).entries.tolist() == [[-1.0, 3.0], [0.0, -1.0]]
+
+
+def random_matrix(shape, complex_entries, seed=0):
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal(shape)
+    return matrix + 1j * rng.standard_normal(shape) if complex_entries else matrix
+
+
+class TestSpectralNorm:
+    SHAPES = [(45, 45), (37, 61), (61, 37)]
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("shape", SHAPES + [(600, 600), (300, 1000)])
+    def test_agrees_with_the_svd_norm(self, shape, complex_entries):
+        # 600 x 600 and 300 x 1000 span two and more blocks at the default size
+        matrix = random_matrix(shape, complex_entries)
+        expected = np.linalg.norm(matrix, 2)
+        assert _spectral_norm(matrix) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("columns", [1, 5, 8])
+    def test_agrees_with_the_svd_norm_in_narrow_blocks(
+        self, monkeypatch, shape, complex_entries, columns
+    ):
+        # 37, 45 and 61 columns are no multiple of 5 or 8; 1 is one column a block
+        monkeypatch.setattr(fock, "_BLOCK_ENTRIES", columns * shape[0])
+        matrix = random_matrix(shape, complex_entries, seed=1)
+        assert len(_column_blocks(*shape)) == -(-shape[1] // columns)
+        expected = np.linalg.norm(matrix, 2)
+        assert _spectral_norm(matrix) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("shape", SHAPES + [(225, 225), (512, 512)])
+    def test_one_block_is_the_single_gram_product_bit_for_bit(self, shape, complex_entries):
+        # 225 x 225 is the 2-site ring at cutoff 14; 512^2 entries fill one block
+        matrix = random_matrix(shape, complex_entries, seed=2)
+        assert len(_column_blocks(*shape)) == 1
+        top = float(np.linalg.eigvalsh(matrix.conj().T @ matrix)[-1])
+        assert _spectral_norm(matrix) == math.sqrt(max(top, 0.0))
 
 
 class TestCanonicalPairs:
@@ -388,6 +429,18 @@ def site_basis_conjugate(evals, evecs, t, matrix):
     """e^{itH} matrix e^{-itH} with the propagator formed: three dense complex GEMMs."""
     propagator = (evecs * np.exp(1j * t * evals)) @ evecs.conj().T
     return propagator @ matrix @ propagator.conj().T
+
+
+def check_site_basis_embedding(sites, cutoff, z):
+    """volume_compare against site_basis_differences on three time grids, to 1e-13."""
+    small, large = FockConfig(sites[0], cutoff, CHAIN), FockConfig(sites[1], cutoff, CHAIN)
+    family = None if z is None else cosine_family(GEO, [(0,), (1,), (2,)], z=z)
+    op = weyl_matrix(small, Field.delta(GEO, (0,), 0.05 - 0.02j))
+    expected = site_basis_differences(small, large, family, op, (0.0, 0.3, -0.6))
+    grids = [((0.0,), expected[0]), ((0.3,), expected[1]), ((0.3, -0.6), max(expected[1:]))]
+    for t_grid, value in grids:
+        measured = volume_compare(small, large, family, op, t_grid)
+        assert measured == pytest.approx(value, rel=1e-13, abs=1e-13)
 
 
 def site_basis_differences(small, large, family, operator, times):
@@ -883,20 +936,19 @@ class TestVolumeCompare:
     def test_matches_the_site_basis_embedding(self, sites, cutoff, z):
         # (2, 2) compares equal volumes, where nothing is padded and the
         # difference is pure roundoff, as it is at t = 0
-        small, large = FockConfig(sites[0], cutoff, CHAIN), FockConfig(sites[1], cutoff, CHAIN)
-        family = None if z is None else cosine_family(GEO, [(0,), (1,), (2,)], z=z)
-        op = weyl_matrix(small, Field.delta(GEO, (0,), 0.05 - 0.02j))
-        expected = site_basis_differences(small, large, family, op, (0.0, 0.3, -0.6))
-        grids = [((0.0,), expected[0]), ((0.3,), expected[1]), ((0.3, -0.6), max(expected[1:]))]
-        for t_grid, value in grids:
-            measured = volume_compare(small, large, family, op, t_grid)
-            assert measured == pytest.approx(value, rel=1e-13, abs=1e-13)
+        check_site_basis_embedding(sites, cutoff, z)
 
     @pytest.mark.parametrize("z", [0.05, 0.04 + 0.03j])
-    def test_peak_memory_is_three_buffers(self, z):
-        # The difference, and the Gram matrix and its conjugate copy inside
-        # the norm; the site-basis path held about six n x n complex arrays,
-        # and a conjugate copy of complex eigenvectors would be a fourth.
+    def test_matches_the_site_basis_embedding_in_blocks_of_seven_columns(self, monkeypatch, z):
+        # 729 = 104 blocks of 7 columns and one of 1, in the difference and in its Gram matrix
+        monkeypatch.setattr(fock, "_BLOCK_ENTRIES", 7 * 729)
+        check_site_basis_embedding((2, 3), 8, z)
+
+    @pytest.mark.parametrize("z", [0.05, 0.04 + 0.03j])
+    def test_peak_memory_is_two_buffers_and_a_few_blocks(self, z):
+        # The difference and the Gram matrix of its norm, plus blocks of 359
+        # of the 729 columns (2.74 and 2.51 n^2 16 B measured); a conjugate
+        # copy of the difference or of complex eigenvectors would be another.
         small, large = FockConfig(2, 8, CHAIN), FockConfig(3, 8, CHAIN)
         family = cosine_family(GEO, [(0,), (1,), (2,)], z=z)
         op = weyl_matrix(small, Field.delta(GEO, (0,), 0.05))
@@ -907,21 +959,25 @@ class TestVolumeCompare:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.1 * large.dimension**2 * 16
+        assert peak <= 2.8 * large.dimension**2 * 16
 
     @pytest.mark.parametrize("z", [0.05, 0.04 + 0.03j])
     def test_lift_equals_the_conjugate_copy_bit_for_bit(self, z):
-        """V^* Y applied as conj(V^T conj(Y)) gives the bits of V^* Y with V^* formed."""
+        """V^* Y applied as conj(V^T conj(Y)), and the phase applied in place, give the bits
+        of V^* Y with V^* formed and of _phased, on the same column blocks."""
         small, large = FockConfig(2, 8, CHAIN), FockConfig(3, 8, CHAIN)
         family = cosine_family(GEO, [(0,), (1,), (2,)], z=z)
         op = weyl_matrix(small, Field.delta(GEO, (0,), 0.05 - 0.02j)).entries
         evals_small, evecs_small = _eigh(small, family.restricted([(0,), (1,)]))
         evals, evecs = _eigh(large, family.restricted([(0,), (1,), (2,)]))
         assert np.iscomplexobj(evecs) == isinstance(z, complex)
-        rows, back = evecs.reshape(small.dimension, -1), evecs.conj().T
+        back = evecs.conj().T
+        blocks = _column_blocks(*evecs.shape)
+        assert len(blocks) == 3  # 359, 359 and 11 columns
 
         def lifted(m):
-            return _product(back, (m @ rows).reshape(evecs.shape))
+            parts = [(m @ evecs[:, j].reshape(len(m), -1)).reshape(len(evecs), -1) for j in blocks]
+            return np.hstack([_product(back, part) for part in parts])
 
         for t in (0.0, 0.3, -0.6):
             small_t = _conjugate(evals_small, evecs_small, t, op)
@@ -931,7 +987,8 @@ class TestVolumeCompare:
     @pytest.mark.parametrize("z", [0.05, 0.04 + 0.03j])
     def test_a_cold_call_keeps_no_perturbation_matrix(self, z):
         # A cold call also allocates the large volume's cached eigenvectors,
-        # which outlive it; the parent also cached P (4.03 and 5.04 n^2 16 B).
+        # which outlive it (2.75 and 2.52 n^2 16 B besides them measured); a
+        # cached P would add one or two.
         small, large = FockConfig(2, 8, CHAIN), FockConfig(3, 8, CHAIN)
         family = cosine_family(GEO, [(0,), (1,), (2,)], z=z)
         op = weyl_matrix(small, Field.delta(GEO, (0,), 0.05))
@@ -944,7 +1001,7 @@ class TestVolumeCompare:
             tracemalloc.stop()
         cached = _eigh(large, family.restricted([(0,), (1,), (2,)]))
         assert len(cached) == 2
-        assert peak <= 3.1 * large.dimension**2 * 16 + cached[1].nbytes
+        assert peak <= 2.8 * large.dimension**2 * 16 + cached[1].nbytes
 
     def test_validation(self):
         small = FockConfig(2, 10, CHAIN)
