@@ -237,7 +237,6 @@ class ConeScan:
     equal only if they are the same object.
     """
 
-    params: HarmonicParameters
     sites: np.ndarray  # the probe sites, ball_sites(d, x_max)
     t_grid: tuple
     values: np.ndarray
@@ -299,7 +298,6 @@ def cone_scan(
 
     rows = [one_slice(t) for t in t_grid]
     return ConeScan(
-        params=params,
         sites=sites,
         t_grid=t_grid,
         values=np.vstack(rows),

@@ -44,6 +44,7 @@ __all__ = [
 
 MAX_DIMENSION = 250_000
 LEAKAGE_LIMIT = 1e-6
+OCCUPATION_CAP = 8
 
 # Entries in one block of columns: _spectral_norm forms M^* M a block of rows
 # at a time and volume_compare its difference a block of columns at a time
@@ -145,7 +146,9 @@ def _occupation_grid(sites: int, cutoff: int) -> np.ndarray:
     return occupation
 
 
-def restricted_norm(config: FockConfig, operator: DenseOperator, occupation_cap: int = 8) -> float:
+def restricted_norm(
+    config: FockConfig, operator: DenseOperator, occupation_cap: int = OCCUPATION_CAP
+) -> float:
     """Operator norm on the subspace with total occupation <= occupation_cap.
 
     Any comparison between a truncated operator and its untruncated ideal
@@ -503,7 +506,7 @@ def commutator_oracle(config: FockConfig, f: Field, g: Field, t: float) -> float
     """
     evals, evecs = _eigh(config)
     w_f = weyl_matrix(config, f).entries
-    cap = min(8, config.sites * config.cutoff)
+    cap = min(OCCUPATION_CAP, config.sites * config.cutoff)
     keep = np.flatnonzero(_occupation_grid(config.sites, config.cutoff) <= cap)
     g_factors = _weyl_factors(config, g)
     g_rows = _kron_rows(g_factors, keep)

@@ -102,7 +102,7 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 class WindowCertificationError(ValueError):
-    """A requested truncation window is too small for the tolerance."""
+    """No truncation window up to the search limit certifies the tolerance."""
 
     def __init__(self, message: str, minimal_window: int):
         super().__init__(message)
@@ -806,7 +806,6 @@ def apply_propagator_convolution(
     params: HarmonicParameters,
     t: float,
     tolerance: float = 1e-10,
-    window: int | None = None,
 ) -> Field:
     """Evolve a finitely supported label on Z^d by certified convolution.
 
@@ -816,9 +815,7 @@ def apply_propagator_convolution(
 
     truncated to an l1 ball whose radius is certified against the
     exponential envelopes so the total error stays below ``tolerance`` in
-    l1 norm.  Passing ``window`` overrides the radius; a window smaller
-    than the certified one raises :class:`WindowCertificationError` whose
-    ``minimal_window`` attribute names the smallest admissible radius.
+    l1 norm.
     """
     geometry = field.geometry
     if geometry.is_torus:
@@ -829,15 +826,7 @@ def apply_propagator_convolution(
         return field
 
     l1 = field.norm_l1()
-    minimal = certified_window(params, t, tolerance / 2.0, l1)
-    if window is None:
-        window = minimal
-    elif window < minimal:
-        raise WindowCertificationError(
-            f"window {window} is below the certified radius {minimal} "
-            f"for tolerance {tolerance:.3e} at t = {t}",
-            minimal_window=minimal,
-        )
+    window = certified_window(params, t, tolerance / 2.0, l1)
 
     spread = field.support_radius()
     out_radius = window + spread

@@ -48,7 +48,6 @@ __all__ = [
     "convergence_tail",
     "convergence_tail_sets",
     "load_family",
-    "save_family",
     "cosine_family",
 ]
 
@@ -118,15 +117,6 @@ class AtomicWeylMeasure:
             yield z, weight
             if any(v != 0 for v in z):
                 yield tuple(-v for v in z), weight
-
-    def total_mass(self) -> float:
-        return math.fsum(w for _, w in self.iter_atoms())
-
-    def component(self, site) -> int:
-        try:
-            return self.sites.index(site)
-        except ValueError:
-            raise DomainError(f"site {site} not in measure support") from None
 
 
 @dataclass(frozen=True)
@@ -397,16 +387,6 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _site_from_json(raw, dimension: int):
-    if _is_int(raw):
-        if dimension != 1:
-            raise DomainError(f"site {raw} must be a list of {dimension} coordinates")
-        return (raw,)
-    if isinstance(raw, list) and all(_is_int(c) for c in raw):
-        return tuple(raw)
-    raise DomainError(f"malformed site entry: {raw!r}")
-
-
 def load_family(source, geometry: LatticeGeometry) -> PerturbationFamily:
     """Read a perturbation family from a JSON file path or parsed list.
 
@@ -414,12 +394,9 @@ def load_family(source, geometry: LatticeGeometry) -> PerturbationFamily:
     with one z entry per site.  Evenness is restored by mirroring; files
     that list both signs of an atom with unequal weights are rejected.
     """
-    if isinstance(source, (str,)) or hasattr(source, "read"):
-        if hasattr(source, "read"):
-            data = json.load(source)
-        else:
-            with open(source, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
+    if isinstance(source, str):
+        with open(source, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
     else:
         data = source
     if not isinstance(data, list):
@@ -435,7 +412,7 @@ def load_family(source, geometry: LatticeGeometry) -> PerturbationFamily:
             raise DomainError(f"measure {i} has unknown keys: {sorted(unknown)}")
         if "sites" not in entry or "atoms" not in entry:
             raise DomainError(f"measure {i} needs both 'sites' and 'atoms'")
-        sites = tuple(_site_from_json(s, geometry.dimension) for s in entry["sites"])
+        sites = tuple(geometry.site(s) for s in entry["sites"])
         atoms = []
         for j, atom in enumerate(entry["atoms"]):
             if not isinstance(atom, dict) or set(atom) != {"z", "weight"}:
@@ -459,17 +436,3 @@ def load_family(source, geometry: LatticeGeometry) -> PerturbationFamily:
     return PerturbationFamily(
         geometry, tuple(sorted(volume, key=site_sort_key)), tuple(measures)
     )
-
-
-def save_family(family: PerturbationFamily, path: str):
-    """Write the mirrored (explicitly even) atom expansion as JSON."""
-    data = []
-    for measure in family.measures:
-        atoms = [
-            {"z": [[v.real, v.imag] for v in z], "weight": w}
-            for z, w in measure.iter_atoms()
-        ]
-        data.append({"sites": [list(s) for s in measure.sites], "atoms": atoms})
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -41,7 +41,6 @@ __all__ = [
     "QuasiFreeState",
     "multiply",
     "adjoint",
-    "free_evolve",
     "commutator_norm",
     "state_eval",
     "three_point",
@@ -64,10 +63,6 @@ class WeylOperator:
         if mag != 1.0:
             object.__setattr__(self, "phase", self.phase / mag)
 
-    @classmethod
-    def identity(cls, geometry: LatticeGeometry) -> "WeylOperator":
-        return cls(Field.zero(geometry))
-
     @property
     def geometry(self) -> LatticeGeometry:
         return self.label.geometry
@@ -88,19 +83,6 @@ def adjoint(a: WeylOperator) -> WeylOperator:
     return WeylOperator(-a.label, a.phase.conjugate())
 
 
-def free_evolve(
-    a: WeylOperator, params: HarmonicParameters, t: float, tolerance: float = 1e-10
-) -> WeylOperator:
-    """Heisenberg evolution: the label moves by the symplectic propagator."""
-    return WeylOperator(_propagate(a.label, params, t, tolerance), a.phase)
-
-
-def _propagate(f: Field, params: HarmonicParameters, t: float, tolerance: float) -> Field:
-    if f.geometry.is_torus:
-        return apply_propagator_torus(f, params, t)
-    return apply_propagator_convolution(f, params, t, tolerance=tolerance)
-
-
 def commutator_norm(
     f: Field, g: Field, params: HarmonicParameters, t: float, tolerance: float = 1e-10
 ) -> float:
@@ -109,7 +91,10 @@ def commutator_norm(
     Unitarity of Weyl operators makes the scalar factor the whole norm, so
     the value always lies in [0, 2] and is dominated by |sigma(T_t f, g)|.
     """
-    moved = _propagate(f, params, t, tolerance)
+    if f.geometry.is_torus:
+        moved = apply_propagator_torus(f, params, t)
+    else:
+        moved = apply_propagator_convolution(f, params, t, tolerance=tolerance)
     return abs(1.0 - cmath.exp(1.0j * symplectic_form(moved, g)))
 
 
@@ -197,7 +182,7 @@ def three_point(
 
 
 def three_point_continuity(
-    state: QuasiFreeState, g1: Field, f: Field, g2: Field, t_grid
+    state: QuasiFreeState, g1: Field, f: Field, g2: Field, t_grid, zero_convention: bool = False
 ) -> tuple[tuple[complex, ...], float]:
     """Three-point values on a time grid and their modulus of continuity.
 
@@ -208,6 +193,6 @@ def three_point_continuity(
     t_grid = tuple(float(t) for t in t_grid)
     if len(t_grid) < 2:
         raise DomainError("continuity scan needs at least two grid points")
-    values = tuple(three_point(state, g1, f, g2, t) for t in t_grid)
+    values = tuple(three_point(state, g1, f, g2, t, zero_convention) for t in t_grid)
     modulus = max(abs(values[i + 1] - values[i]) for i in range(len(values) - 1))
     return values, modulus

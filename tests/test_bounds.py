@@ -242,7 +242,6 @@ class TestVelocityEstimation:
                 if abs(site[0]) <= front_of_t(t):
                     values[i, j] = 1.0
         return ConeScan(
-            params=MASSLESS,
             sites=sites,
             t_grid=tuple(float(t) for t in t_grid),
             values=values,
@@ -277,7 +276,7 @@ class TestVelocityEstimation:
     def test_all_quiet_raises(self):
         sites = ball_sites(1, 5)
         values = np.full((4, len(sites)), 1e-9)
-        scan = ConeScan(MASSLESS, sites, (1.0, 2.0, 3.0, 4.0), values, 0.1)
+        scan = ConeScan(sites, (1.0, 2.0, 3.0, 4.0), values, 0.1)
         with pytest.raises(DomainError):
             estimate_velocity(scan)
 

@@ -385,6 +385,33 @@ class TestExitCodes:
         assert not out.exists()
         assert "overflows at rate" in capsys.readouterr().err
 
+    # g1 has a nonzero position mean, so every continuity label lies outside
+    # the massless form domain, while f alone lies inside it.
+    ZERO_MEAN_STATE = {
+        "omega": 0.0,
+        "half_side": 8,
+        "f": [{"x": [0], "re": 0.5}, {"x": [1], "re": -0.5}],
+        "g1": [{"x": [1], "re": 0.3}],
+        "g2": [{"x": [-1], "im": 0.4}],
+    }
+
+    def test_zero_convention_reaches_the_continuity_scan(self, tmp_path):
+        config = tmp_path / "state.json"
+        config.write_text(json.dumps({**self.ZERO_MEAN_STATE, "zero_convention": True}))
+        out = tmp_path / "report.json"
+        assert main(["state", "--config", str(config), "--output", str(out)]) == 0
+        continuity = json.loads(out.read_text())["continuity"]
+        assert continuity["values"] == [{"re": 0.0, "im": 0.0}] * 9
+        assert continuity["modulus"] == 0.0
+
+    def test_without_zero_convention_the_nonzero_mean_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "state.json"
+        config.write_text(json.dumps({**self.ZERO_MEAN_STATE, "zero_convention": False}))
+        out = tmp_path / "report.json"
+        assert main(["state", "--config", str(config), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert "zero lattice mean" in capsys.readouterr().err
+
     def test_no_temp_files_left_behind(self, tmp_path):
         run("kernel", tmp_path)
         run("kernel", tmp_path, extra={"m": [5]}, out_name="failed.out")

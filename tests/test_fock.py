@@ -733,7 +733,7 @@ class TestPerturbationMatrix:
     def test_norm_bounded_by_total_mass(self):
         config = FockConfig(2, 10, CHAIN)
         family = cosine_family(GEO, [(0,), (1,)], z=0.2, weight=0.5)
-        total = math.fsum(m.total_mass() for m in family.measures)
+        total = math.fsum(w for m in family.measures for _, w in m.iter_atoms())
         assert perturbation_matrix(config, family).norm() <= total + 1e-12
 
 

@@ -1,7 +1,10 @@
 """Package namespace: every public name is declared once, in its module,
-and every public name the README's library tour names exists."""
+and every public name the README's library tour and the benchmark's entry
+points name exists."""
 
+import ast
 import dataclasses
+import importlib
 import itertools
 import re
 import types
@@ -11,6 +14,7 @@ import lrlattice
 from lrlattice import bounds, fock, harmonic, lattice, perturbations, weyl
 
 MODULES = (lattice, harmonic, weyl, bounds, perturbations, fock)
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC_NAMES = {
     "__version__",
@@ -25,9 +29,8 @@ PUBLIC_NAMES = {
     "compute_kernel", "compute_kernels", "kernel_envelope", "envelope_speed", "envelope_prefactor",
     "certified_window", "apply_propagator_torus", "apply_propagator_convolution",
     # weyl
-    "WeylOperator", "QuasiFreeState", "multiply", "adjoint", "free_evolve",
-    "commutator_norm", "smeared_norm_sq", "state_eval", "three_point",
-    "three_point_continuity",
+    "WeylOperator", "QuasiFreeState", "multiply", "adjoint", "commutator_norm",
+    "smeared_norm_sq", "state_eval", "three_point", "three_point_continuity",
     # bounds
     "RATIO_FLOOR", "DecayCertificate", "KernelBoundReport", "VelocityFit", "ConeScan",
     "verify_kernel_bounds", "derive_constants", "pair_sum", "harmonic_bound_rhs",
@@ -35,8 +38,7 @@ PUBLIC_NAMES = {
     # perturbations
     "MeasureParityError", "AtomicWeylMeasure", "PerturbationFamily", "VolumeSequence",
     "PairMoment", "second_moment", "pair_moment", "first_moment", "perturbed_bound",
-    "convergence_tail", "convergence_tail_sets", "load_family", "save_family",
-    "cosine_family",
+    "convergence_tail", "convergence_tail_sets", "load_family", "cosine_family",
     # fock
     "TruncationLeakageError", "FockConfig", "DenseOperator", "build_hamiltonian",
     "weyl_matrix", "heisenberg_evolve", "perturbation_matrix", "perturbed_evolve",
@@ -78,7 +80,7 @@ def test_public_names_are_the_documented_set():
 def _library_tour_names() -> list[str]:
     """Every backticked dotted name (a trailing ``()`` dropped) in the README's
     "Library tour" table."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("## Library tour\n", 1)[1].lstrip("\n").splitlines()
     table = "\n".join(itertools.takewhile(lambda line: line.startswith("|"), section))
     spans = re.findall(r"`([^`]+)`", table)
@@ -106,3 +108,35 @@ def test_readme_library_tour_names_resolve():
     names = _library_tour_names()
     assert len(names) >= 40  # the table was found and parsed
     assert [name for name in names if not _resolves(name)] == []
+
+
+def _perfbench_lists() -> dict:
+    """``FUNCTIONS`` and ``FIELD_METHODS`` of ``perfbench/spans.py``, read as
+    literals without importing the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    return {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("FUNCTIONS", "FIELD_METHODS")
+    }
+
+
+def test_benchmark_entry_points_resolve():
+    # The traced benchmark wraps these by name, and its checks call ``lr.<name>``;
+    # a deleted name would otherwise break only those runs.
+    lists = _perfbench_lists()
+    assert len(lists["FUNCTIONS"]) >= 30 and lists["FIELD_METHODS"]
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, *_ in lists["FUNCTIONS"]
+        if not hasattr(importlib.import_module(f"lrlattice.{module}"), attr)
+    ]
+    field = lrlattice.Field
+    missing += [f"Field.{attr}" for attr, _ in lists["FIELD_METHODS"] if not hasattr(field, attr)]
+    checks = (ROOT / "perfbench" / "checks.py").read_text(encoding="utf-8")
+    names = sorted(set(re.findall(r"\blr\.([A-Za-z_][\w.]*)", checks)))
+    assert len(names) >= 15
+    missing += [name for name in names if not _resolves(name)]
+    assert missing == []
