@@ -20,6 +20,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict
+from functools import cache
 
 import numpy as np
 
@@ -35,12 +36,12 @@ from .harmonic import (
     HarmonicParameters,
     QuadratureConvergenceError,
     QuadratureSpec,
-    apply_propagator_torus,
     compute_kernels,
 )
 from .weyl import (
     QuasiFreeState,
     WeylOperator,
+    _three_point_values,
     commutator_norm,
     state_eval,
     three_point_continuity,
@@ -587,10 +588,9 @@ def _run_state(s: dict):
     worst_err = -math.inf
     worst_t = None
     invariance = []
-    for t in s["t"]:
-        moved = state_eval(
-            state, WeylOperator(apply_propagator_torus(f, params, t)), zero_convention=zero
-        )
+    # rho(tau_t(W(f))) is the three-point value with g1 = g2 = 0.
+    nil = Field.zero(geometry)
+    for t, moved in zip(s["t"], _three_point_values(state, nil, f, nil, s["t"], zero)):
         err = abs(moved - base)
         invariance.append((t, err))
         if err > worst_err:
@@ -723,7 +723,9 @@ def _float_list(text: str) -> list:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="lrlattice",
         description="Deterministic scans and verification reports for "

@@ -331,24 +331,26 @@ class Field:
     def inner(self, other: "Field") -> complex:
         """Inner product, antilinear in self; each part is an exactly rounded sum."""
         _, f, g = self._aligned(other)
-        both = (f != 0) & (g != 0)
-        fr, fi, gr, gi = f.real[both], f.imag[both], g.real[both], g.imag[both]
-        # Python's f.conjugate() * g per site, in real parts as in __mul__.
-        return complex(
-            math.fsum((fr * gr + fi * gi).tolist()), math.fsum((fr * gi - fi * gr).tolist())
-        )
+        return _exact_inner(f, g)
 
     def max_abs_diff(self, other: "Field") -> float:
         _, f, g = self._aligned(other)
         diff = f - g
         return float(np.hypot(diff.real, diff.imag).max(initial=0.0))
 
-    def mean_real(self) -> float:
-        return float(math.fsum(self._values.real.tolist()))
-
     def __repr__(self):
         n = len(self._values)
         return f"Field(dim={self.geometry.dimension}, support={n})"
+
+
+def _exact_inner(f: np.ndarray, g: np.ndarray) -> complex:
+    """sum conj(f) g over the entries where both are nonzero, each part exactly rounded."""
+    both = (f != 0) & (g != 0)
+    fr, fi, gr, gi = f.real[both], f.imag[both], g.real[both], g.imag[both]
+    # Python's f.conjugate() * g per site, in real parts as in Field.__mul__.
+    return complex(
+        math.fsum((fr * gr + fi * gi).tolist()), math.fsum((fr * gi - fi * gr).tolist())
+    )
 
 
 def _union_rows(a_sites, b_sites):
@@ -650,15 +652,19 @@ def _exp_shell_tail(dimension: int, mu: float, window: int) -> float:
     return total
 
 
-def _truncation_tail(params: HarmonicParameters, t: float, window: int, mu: float) -> float:
-    # l1 mass of all three kernels outside the window, by the exponential
-    # envelope: (1 + 1/c + c e^(mu/2)) e^(mu v |t|) sum_{r>W} N_d(r) e^(-mu r).
-    c = params.max_frequency
-    coef = 1.0 + 1.0 / c + c * math.exp(mu / 2.0)
+def _truncation_tails(params: HarmonicParameters, t: float, mu: float):
+    # window -> the kernels' l1 mass outside it, (1 + 1/c + c e^(mu/2)) e^(mu v |t|)
+    # sum_{r>W} N_d(r) e^(-mu r), factor formed once; past e^700 inf (inf * 0 is nan).
     grow = mu * envelope_speed(params, mu) * abs(t)
     if grow > 700:
-        return math.inf
-    return coef * math.exp(grow) * _exp_shell_tail(params.dimension, mu, window)
+        return lambda window: math.inf
+    c = params.max_frequency
+    factor = (1.0 + 1.0 / c + c * math.exp(mu / 2.0)) * math.exp(grow)
+    return lambda window: factor * _exp_shell_tail(params.dimension, mu, window)
+
+
+def _truncation_tail(params: HarmonicParameters, t: float, window: int, mu: float) -> float:
+    return _truncation_tails(params, t, mu)(window)
 
 
 def certified_window(
@@ -681,14 +687,15 @@ def certified_window(
     budget = tolerance / max(l1_norm, 1e-300)
     best = None
     for mu in MU_GRID:
-        if _truncation_tail(params, t, max_window, mu) > budget:
+        tail = _truncation_tails(params, t, mu)
+        if tail(max_window) > budget:
             continue
         lo, hi = 0, max_window
         # The tail decreases in the window, so bisect for the smallest
         # admissible radius under this envelope rate.
         while lo < hi:
             mid = (lo + hi) // 2
-            if _truncation_tail(params, t, mid, mu) <= budget:
+            if tail(mid) <= budget:
                 hi = mid
             else:
                 lo = mid + 1
@@ -730,26 +737,29 @@ def _torus_gamma(params: HarmonicParameters, geometry: LatticeGeometry) -> np.nd
     return _gamma_grid(params, [axis] * params.dimension)
 
 
-def _check_torus_setup(field: Field, params: HarmonicParameters) -> LatticeGeometry:
-    geometry = field.geometry
-    if not geometry.is_torus:
-        raise GeometryMismatchError("torus propagator needs a torus geometry")
-    if geometry.dimension != params.dimension:
-        raise GeometryMismatchError("field and parameters disagree on dimension")
-    return geometry
+def _fftn(x: np.ndarray) -> np.ndarray:
+    # On a chain, fft gives fftn's bits without fftn's costly axis bookkeeping.
+    return np.fft.fft(x) if x.ndim == 1 else np.fft.fftn(x)
 
 
-def _reject_nonzero_mean(field: Field):
-    """Zero-mode test of massless propagation and states, on the exactly rounded mean."""
-    mean = abs(field.mean_real())
-    if mean > 1e-12 * max(field.norm_l1(), 1e-300):
+def _ifftn(x: np.ndarray) -> np.ndarray:
+    return np.fft.ifft(x) if x.ndim == 1 else np.fft.ifftn(x)
+
+
+def _reject_nonzero_mean(dense: np.ndarray):
+    """Zero-mode test of massless propagation and states, on a dense label's exact mean."""
+    mean = abs(math.fsum(dense.real.ravel().tolist()))
+    if mean > 1e-12 * max(math.fsum(np.hypot(dense.real, dense.imag).ravel().tolist()), 1e-300):
         raise ZeroModeError(
             "massless models need the position part to have zero lattice mean; "
             f"got mean magnitude {mean:.3e}"
         )
 
 
-def _evolve_bogoliubov(dense: np.ndarray, gam: np.ndarray, t: float) -> np.ndarray:
+# Both flows keep their expressions' forms: above numpy's 256 KB elision size, sym * fftn(x)
+# multiplies in place with the operands swapped, which rounds differently, so hoisting a
+# transform out of the t-dependent part changes bits (it did on d = 2 tori at half-side 64-79).
+def _evolve_bogoliubov(dense: np.ndarray, gam: np.ndarray):
     # Composition (U + V) M_t (U* - V*) with U, V the multiplier /
     # conjugation maps built from the Bogoliubov pair.  Valid for omega > 0
     # where both multipliers are finite on every mode.
@@ -758,18 +768,32 @@ def _evolve_bogoliubov(dense: np.ndarray, gam: np.ndarray, t: float) -> np.ndarr
     minus = 1.0 / root - root
 
     def mult(vec, sym):
-        return np.fft.ifftn(sym * np.fft.fftn(vec))
+        return _ifftn(sym * _fftn(vec))
 
     inner = -0.5j * mult(dense, plus) - 0.5j * mult(np.conj(dense), minus)
-    rotated = mult(inner, np.exp(2j * gam * t))
-    return 0.5j * mult(rotated, plus) + 0.5j * mult(np.conj(rotated), minus)
+
+    def evolve(t):
+        rotated = mult(inner, np.exp(2j * gam * t))
+        return 0.5j * mult(rotated, plus) + 0.5j * mult(np.conj(rotated), minus)
+
+    return evolve
 
 
-def _evolve_multiplier(dense: np.ndarray, gam: np.ndarray, t: float) -> np.ndarray:
-    a, b = _propagator_symbols(gam, t)
-    out = np.fft.ifftn(a * np.fft.fftn(dense))
-    out += np.fft.ifftn(b * np.fft.fftn(np.conj(dense)))
-    return out
+def _evolve_multiplier(dense: np.ndarray, gam: np.ndarray):
+    _reject_nonzero_mean(dense)
+
+    def evolve(t):
+        a, b = _propagator_symbols(gam, t)
+        out = _ifftn(a * _fftn(dense))
+        out += _ifftn(b * _fftn(np.conj(dense)))
+        return out
+
+    return evolve
+
+
+def _torus_flow(dense: np.ndarray, params: HarmonicParameters, gam: np.ndarray):
+    """t -> T_t of a dense torus label (t unchecked), ``gam`` the torus dispersion."""
+    return (_evolve_multiplier if params.is_massless else _evolve_bogoliubov)(dense, gam)
 
 
 def apply_propagator_torus(field: Field, params: HarmonicParameters, t: float) -> Field:
@@ -780,18 +804,14 @@ def apply_propagator_torus(field: Field, params: HarmonicParameters, t: float) -
     massless chain the equivalent two-symbol form is used with the
     removable k = 0 limit; the position part must then have zero mean.
     """
-    geometry = _check_torus_setup(field, params)
+    geometry = field.geometry
+    if not geometry.is_torus:
+        raise GeometryMismatchError("torus propagator needs a torus geometry")
+    if geometry.dimension != params.dimension:
+        raise GeometryMismatchError("field and parameters disagree on dimension")
     _check_time(t)
-    if field.is_zero():
-        return field
-    dense = field.to_dense()
-    gam = _torus_gamma(params, geometry)
-    if params.is_massless:
-        _reject_nonzero_mean(field)
-        out = _evolve_multiplier(dense, gam, t)
-    else:
-        out = _evolve_bogoliubov(dense, gam, t)
-    return Field.from_dense(geometry, out)
+    flow = _torus_flow(field.to_dense(), params, _torus_gamma(params, geometry))
+    return Field.from_dense(geometry, flow(t))
 
 
 def _assemble_kernel_box(kernel: Kernel) -> np.ndarray:

@@ -28,7 +28,11 @@ from .harmonic import (
     Field,
     HarmonicParameters,
     ZeroModeError,
+    _check_time,
+    _exact_inner,
+    _fftn,
     _reject_nonzero_mean,
+    _torus_flow,
     _torus_gamma,
     apply_propagator_convolution,
     apply_propagator_torus,
@@ -124,17 +128,16 @@ def smeared_norm_sq(state: QuasiFreeState, f: Field, zero_convention: bool = Fal
     """
     if f.geometry != state.geometry:
         raise GeometryMismatchError("label does not live on the state's torus")
-    if f.is_zero():
-        return 0.0
-    dense = f.to_dense()
-    gam = _torus_gamma(state.params, state.geometry)
-    u_hat = np.fft.fftn(dense.real)
-    v_hat = np.fft.fftn(dense.imag)
-    total_sites = dense.size
+    return _dense_form(state, f.to_dense(), _torus_gamma(state.params, f.geometry), zero_convention)
 
+
+def _dense_form(state, dense: np.ndarray, gam: np.ndarray, zero_convention: bool) -> float:
+    """``smeared_norm_sq`` of a dense torus label, ``gam`` the torus dispersion."""
+    u_hat = _fftn(dense.real)
+    v_hat = _fftn(dense.imag)
     if state.params.is_massless:
         try:
-            _reject_nonzero_mean(f)
+            _reject_nonzero_mean(dense)
         except ZeroModeError:
             if zero_convention:
                 return math.inf
@@ -144,7 +147,7 @@ def smeared_norm_sq(state: QuasiFreeState, f: Field, zero_convention: bool = Fal
     else:
         position = float(np.sum(np.abs(u_hat) ** 2 / gam))
     momentum = float(np.sum(gam * np.abs(v_hat) ** 2))
-    return (position + momentum) / total_sites
+    return (position + momentum) / dense.size
 
 
 def state_eval(state: QuasiFreeState, a: WeylOperator, zero_convention: bool = False) -> complex:
@@ -153,6 +156,30 @@ def state_eval(state: QuasiFreeState, a: WeylOperator, zero_convention: bool = F
     if math.isinf(form):
         return 0.0 + 0.0j
     return a.phase * math.exp(-0.25 * form)
+
+
+def _three_point_values(state, g1, f, g2, t_grid, zero_convention) -> list[complex]:
+    """``three_point`` per time on dense torus arrays; the twist reads T_t f at g2 - g1."""
+    if any(label.geometry != state.geometry for label in (g1, f, g2)):
+        raise GeometryMismatchError("labels do not live on the state's torus")
+    # Dense sums and exact sums give the bits of the Field sums and symplectic_form.
+    g1, g2 = g1.to_dense(), g2.to_dense()
+    shift, diff = g1 + g2, g2 - g1
+    at = np.nonzero(diff)
+    phase = cmath.exp(0.5j * _exact_inner(g1, g2).imag)
+    gam = _torus_gamma(state.params, state.geometry)
+    flow = _torus_flow(f.to_dense(), state.params, gam)
+    values = []
+    for t in t_grid:
+        _check_time(t)
+        moved = flow(t)
+        form = _dense_form(state, shift + moved, gam, zero_convention)
+        if math.isinf(form):
+            values.append(0.0 + 0.0j)
+        else:
+            twist = cmath.exp(0.5j * _exact_inner(moved[at], diff[at]).imag)
+            values.append(phase * twist * math.exp(-0.25 * form))
+    return values
 
 
 def three_point(
@@ -169,16 +196,7 @@ def three_point(
     so the value is two symplectic phases times the Gaussian weight of the
     summed label g1 + T_t f + g2.
     """
-    for label in (g1, f, g2):
-        if label.geometry != state.geometry:
-            raise GeometryMismatchError("labels do not live on the state's torus")
-    moved = apply_propagator_torus(f, state.params, t)
-    form = smeared_norm_sq(state, g1 + g2 + moved, zero_convention)
-    if math.isinf(form):
-        return 0.0 + 0.0j
-    phase = cmath.exp(0.5j * symplectic_form(g1, g2))
-    phase *= cmath.exp(0.5j * symplectic_form(moved, g2 - g1))
-    return phase * math.exp(-0.25 * form)
+    return _three_point_values(state, g1, f, g2, (t,), zero_convention)[0]
 
 
 def three_point_continuity(
@@ -193,6 +211,6 @@ def three_point_continuity(
     t_grid = tuple(float(t) for t in t_grid)
     if len(t_grid) < 2:
         raise DomainError("continuity scan needs at least two grid points")
-    values = tuple(three_point(state, g1, f, g2, t, zero_convention) for t in t_grid)
+    values = tuple(_three_point_values(state, g1, f, g2, t_grid, zero_convention))
     modulus = max(abs(values[i + 1] - values[i]) for i in range(len(values) - 1))
     return values, modulus

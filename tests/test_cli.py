@@ -21,6 +21,7 @@ from lrlattice import (
     cli,
     cone_scan,
     derive_constants,
+    harmonic,
     harmonic_bound_rhs,
 )
 from lrlattice.cli import _flag_overrides, build_parser, main
@@ -154,6 +155,33 @@ class TestKernelReuse:
         code, _ = run("bounds", tmp_path, extra={"mu": [0.5, 1.0, 2.0], "t": [0.25, 0.5, 1.0]})
         assert code == 0
         assert times == [0.25, 0.5, 1.0]
+
+
+class TestStateBuildsNoFieldPerTime:
+    def test_field_work_does_not_grow_with_the_times(self, tmp_path, monkeypatch):
+        calls = {"from_dense": 0, "union": 0}
+        from_dense, union = harmonic.Field.from_dense.__func__, harmonic._union_rows
+
+        def counted_from_dense(cls, *args):
+            calls["from_dense"] += 1
+            return from_dense(cls, *args)
+
+        def counted_union(*args):
+            calls["union"] += 1
+            return union(*args)
+
+        monkeypatch.setattr(harmonic.Field, "from_dense", classmethod(counted_from_dense))
+        monkeypatch.setattr(harmonic, "_union_rows", counted_union)
+        counts = []
+        # 1 + 3 and 4 + 9 times: invariance times plus continuity points.
+        for t, points in (([0.5], 3), ([0.25, 0.5, 1.0, 2.0], 9)):
+            calls.update(from_dense=0, union=0)
+            extra = {"half_side": 12, "t": t, "continuity_points": points}
+            code, _ = run("state", tmp_path, extra=extra)
+            assert code == 0
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["from_dense"] == 0
 
 
 class TestPrecedence:

@@ -170,7 +170,6 @@ class TestConstruction:
         assert field.support_radius() == max((sum(map(abs, s)) for s in ordered), default=0)
         assert field.norm_l1() == math.fsum(abs(expected[s]) for s in ordered)
         assert field.norm_l2() == math.sqrt(math.fsum(abs(expected[s]) ** 2 for s in ordered))
-        assert field.mean_real() == math.fsum(expected[s].real for s in ordered)
 
     def test_coordinates_too_large_to_pack_still_sort(self):
         geometry = LatticeGeometry.infinite(3)

@@ -24,6 +24,7 @@ from lrlattice import (
     three_point,
     three_point_continuity,
 )
+from lrlattice.harmonic import _propagator_symbols, _torus_gamma
 
 CHAIN = HarmonicParameters(omega=1.0, couplings=(1.0,))
 MASSLESS = HarmonicParameters(omega=0.0, couplings=(1.0,))
@@ -266,3 +267,115 @@ class TestThreePoint:
         f = Field.delta(geo, (0,), 0.1)
         with pytest.raises(Exception):
             three_point_continuity(state, f, f, f, [1.0])
+
+
+def _reference_propagate(f, params, t):
+    """T_t f composed afresh at each time, as one dense round trip."""
+    moved = apply_propagator_torus(f, params, t)
+    dense = f.to_dense()
+    gam = _torus_gamma(params, f.geometry)
+    if params.is_massless:
+        a, b = _propagator_symbols(gam, t)
+        out = np.fft.ifftn(a * np.fft.fftn(dense))
+        out += np.fft.ifftn(b * np.fft.fftn(np.conj(dense)))
+    else:
+        root = np.sqrt(gam)
+        plus = 1.0 / root + root
+        minus = 1.0 / root - root
+
+        def mult(vec, sym):
+            return np.fft.ifftn(sym * np.fft.fftn(vec))
+
+        inner = -0.5j * mult(dense, plus) - 0.5j * mult(np.conj(dense), minus)
+        rotated = mult(inner, np.exp(2j * gam * t))
+        out = 0.5j * mult(rotated, plus) + 0.5j * mult(np.conj(rotated), minus)
+    assert moved.max_abs_diff(Field.from_dense(f.geometry, out)) == 0.0
+    return moved
+
+
+def _reference_three_point(state, g1, f, g2, t, zero_convention):
+    """three_point through Field sums, one propagated Field per time."""
+    moved = _reference_propagate(f, state.params, t)
+    form = smeared_norm_sq(state, g1 + g2 + moved, zero_convention)
+    if math.isinf(form):
+        return 0.0 + 0.0j
+    phase = cmath.exp(0.5j * symplectic_form(g1, g2))
+    phase *= cmath.exp(0.5j * symplectic_form(moved, g2 - g1))
+    return phase * math.exp(-0.25 * form)
+
+
+def _pair_labels(geo, rng, d):
+    """Labels (g1, f, g2) near the origin; every position part has zero sum."""
+    box = list(np.ndindex((7,) * d))
+    near = [tuple(c - 3 for c in box[i]) for i in rng.choice(len(box), size=6, replace=False)]
+
+    def label(a, b):
+        re, im = rng.normal(scale=0.4, size=2)
+        return Field(geo, {near[a]: complex(re, im), near[b]: complex(-re, rng.normal(scale=0.4))})
+
+    return label(0, 1), label(2, 3), label(4, 5)
+
+
+# d = 2 at half-side 40 stays below numpy's 256 KB temporary-elision size,
+# half-side 73 lies above it.
+DENSE_CASES = [
+    (HarmonicParameters(omega=0.8, couplings=(1.1,)), 20),
+    (HarmonicParameters(omega=0.6, couplings=(0.9, 1.3)), 40),
+    (HarmonicParameters(omega=1.2, couplings=(0.7, 0.4)), 73),
+    (HarmonicParameters(omega=0.5, couplings=(1.0, 0.5, 0.8)), 6),
+    (HarmonicParameters(omega=0.0, couplings=(1.0,)), 20),
+    (HarmonicParameters(omega=0.0, couplings=(0.8, 1.3)), 12),
+    (HarmonicParameters(omega=0.0, couplings=(0.4, 1.0, 0.8)), 5),
+]
+TIMES = (0.3, 1.05, 2.4)
+
+
+class TestDenseTimeGrid:
+    """The dense time grid gives the bits of one Field round trip per time."""
+
+    @pytest.mark.parametrize("params, half_side", DENSE_CASES)
+    def test_three_point_matches_the_field_path(self, params, half_side):
+        geo = LatticeGeometry.torus(params.dimension, half_side=half_side)
+        state = QuasiFreeState(params, geo)
+        g1, f, g2 = _pair_labels(geo, np.random.default_rng(half_side), params.dimension)
+        expected = tuple(_reference_three_point(state, g1, f, g2, t, False) for t in TIMES)
+        assert three_point_continuity(state, g1, f, g2, TIMES)[0] == expected
+        assert three_point(state, g1, f, g2, TIMES[1]) == expected[1]
+
+    @pytest.mark.parametrize("params, half_side", DENSE_CASES)
+    def test_evolved_state_matches_the_field_path(self, params, half_side):
+        geo = LatticeGeometry.torus(params.dimension, half_side=half_side)
+        state = QuasiFreeState(params, geo)
+        _, f, _ = _pair_labels(geo, np.random.default_rng(half_side), params.dimension)
+        zero = Field.zero(geo)
+        for t in TIMES:
+            expected = state_eval(state, WeylOperator(_reference_propagate(f, params, t)))
+            assert three_point(state, zero, f, zero, t) == expected
+
+    @pytest.mark.parametrize("d, half_side", [(1, 20), (2, 12)])
+    def test_zero_convention_on_a_nonzero_mean_total(self, d, half_side):
+        params = HarmonicParameters(omega=0.0, couplings=(1.0,) * d)
+        geo = LatticeGeometry.torus(d, half_side=half_side)
+        state = QuasiFreeState(params, geo)
+        g1, f, g2 = _pair_labels(geo, np.random.default_rng(d), d)
+        g1 = g1 + Field.delta(geo, (0,) * d, 0.25)
+        expected = tuple(_reference_three_point(state, g1, f, g2, t, True) for t in TIMES)
+        assert expected == (0.0,) * len(TIMES)
+        assert three_point_continuity(state, g1, f, g2, TIMES, zero_convention=True)[0] == expected
+        # Without the convention both paths raise, at the first time.
+        for t in TIMES:
+            with pytest.raises(ZeroModeError):
+                _reference_three_point(state, g1, f, g2, t, False)
+        with pytest.raises(ZeroModeError):
+            three_point_continuity(state, g1, f, g2, TIMES)
+
+    def test_a_nonzero_mean_f_raises_even_with_the_convention(self):
+        params = HarmonicParameters(omega=0.0, couplings=(1.0,))
+        geo = LatticeGeometry.torus(1, half_side=20)
+        state = QuasiFreeState(params, geo)
+        g1, f, g2 = _pair_labels(geo, np.random.default_rng(3), 1)
+        f = f + Field.delta(geo, (1,), 0.25)
+        with pytest.raises(ZeroModeError):
+            _reference_three_point(state, g1, f, g2, 0.5, True)
+        with pytest.raises(ZeroModeError):
+            three_point_continuity(state, g1, f, g2, TIMES, zero_convention=True)
