@@ -280,7 +280,7 @@ def cone_scan(
     if not t_grid:
         raise DomainError("the time grid must hold at least one time")
     d = params.dimension
-    geometry = LatticeGeometry.infinite(d, window_radius=x_max)
+    geometry = LatticeGeometry.infinite(d)
     sites = ball_sites(d, x_max)
 
     def one_slice(t: float) -> np.ndarray:
@@ -357,7 +357,7 @@ def spot_check_certificate(
         raise DomainError(f"t_max must be finite, got {t_max!r}")
     rng = np.random.default_rng(seed)
     d = params.dimension
-    geometry = LatticeGeometry.infinite(d, window_radius=support_radius)
+    geometry = LatticeGeometry.infinite(d)
     sites = ball_sites(d, support_radius)
     worst = 0.0
     for _ in range(trials):

@@ -663,10 +663,6 @@ def _truncation_tails(params: HarmonicParameters, t: float, mu: float):
     return lambda window: factor * _exp_shell_tail(params.dimension, mu, window)
 
 
-def _truncation_tail(params: HarmonicParameters, t: float, window: int, mu: float) -> float:
-    return _truncation_tails(params, t, mu)(window)
-
-
 def certified_window(
     params: HarmonicParameters,
     t: float,

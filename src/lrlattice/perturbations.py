@@ -39,7 +39,6 @@ __all__ = [
     "MeasureParityError",
     "AtomicWeylMeasure",
     "PerturbationFamily",
-    "VolumeSequence",
     "PairMoment",
     "second_moment",
     "pair_moment",
@@ -148,24 +147,6 @@ class PerturbationFamily:
             raise DomainError("restriction sites must lie inside the volume")
         chosen = tuple(m for m in self.measures if set(m.sites) <= keep)
         return PerturbationFamily(self.geometry, tuple(sorted(keep, key=site_sort_key)), chosen)
-
-
-@dataclass(frozen=True)
-class VolumeSequence:
-    """Strictly increasing half-sides of nested cubic volumes."""
-
-    boxes: tuple
-
-    def __post_init__(self):
-        boxes = tuple(self.boxes)
-        if not all(map(_is_int, boxes)):
-            raise DomainError(f"half-sides must be integers, got {boxes!r}")
-        boxes = tuple(map(int, boxes))
-        if len(boxes) == 0:
-            raise DomainError("volume sequence cannot be empty")
-        if boxes[0] < 1 or any(b >= c for b, c in zip(boxes, boxes[1:])):
-            raise DomainError("half-sides must be positive and strictly increasing")
-        object.__setattr__(self, "boxes", boxes)
 
 
 class PairMoment(NamedTuple):
@@ -306,9 +287,8 @@ def _box_counts(x, half_side: int, outer: int) -> np.ndarray:
 
 def convergence_tail(
     f: Field,
-    seq: VolumeSequence,
-    n: int,
-    m: int,
+    inner: int,
+    outer: int,
     t: float,
     moment: float,
     cert: DecayCertificate,
@@ -320,18 +300,16 @@ def convergence_tail(
     """Bound on the dynamics difference between nested cubic volumes.
 
     Evaluates M c_a |t| e^{rate |t|} sum_x |f(x)| sum_{y in shell} F_a(d(x,y))
-    with the shell between boxes m and n of the sequence.  The label must
-    be supported inside the inner box for the bound to mean anything.
+    with the shell between the boxes of half-sides ``inner`` <= ``outer``.
+    The label must be supported inside the inner box for the bound to mean
+    anything.
     """
-    if not (_is_int(n) and _is_int(m)):
-        raise DomainError(f"box indices must be integers, got n = {n!r}, m = {m!r}")
-    if not 0 <= m <= n < len(seq.boxes):
-        if m > n:
-            raise DomainError(f"need m <= n, got m = {m}, n = {n}")
-        raise DomainError(f"indices ({m}, {n}) outside the sequence of {len(seq.boxes)} boxes")
+    if not (_is_int(inner) and _is_int(outer)) or not 1 <= inner <= outer:
+        raise DomainError(
+            f"half-sides must be integers with 1 <= inner <= outer, got {inner!r}, {outer!r}"
+        )
     if f.geometry.is_torus:
         raise GeometryMismatchError("volume convergence is posed on the infinite lattice")
-    inner, outer = seq.boxes[m], seq.boxes[n]
     for site in f.support():
         if not all(-inner < c <= inner for c in site):
             raise DomainError(f"label site {site} lies outside the inner box {inner}")

@@ -71,9 +71,6 @@ class WeylOperator:
     def geometry(self) -> LatticeGeometry:
         return self.label.geometry
 
-    def __mul__(self, other: "WeylOperator") -> "WeylOperator":
-        return multiply(self, other)
-
 
 def multiply(a: WeylOperator, b: WeylOperator) -> WeylOperator:
     """Product through the Weyl relation; the labels simply add."""
@@ -87,9 +84,7 @@ def adjoint(a: WeylOperator) -> WeylOperator:
     return WeylOperator(-a.label, a.phase.conjugate())
 
 
-def commutator_norm(
-    f: Field, g: Field, params: HarmonicParameters, t: float, tolerance: float = 1e-10
-) -> float:
+def commutator_norm(f: Field, g: Field, params: HarmonicParameters, t: float) -> float:
     """Exact norm of [evolved W(f), W(g)]: |1 - exp(i sigma(T_t f, g))|.
 
     Unitarity of Weyl operators makes the scalar factor the whole norm, so
@@ -98,7 +93,7 @@ def commutator_norm(
     if f.geometry.is_torus:
         moved = apply_propagator_torus(f, params, t)
     else:
-        moved = apply_propagator_convolution(f, params, t, tolerance=tolerance)
+        moved = apply_propagator_convolution(f, params, t)
     return abs(1.0 - cmath.exp(1.0j * symplectic_form(moved, g)))
 
 

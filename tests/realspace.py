@@ -1,4 +1,4 @@
-"""Real-space normal-mode oracle for the harmonic torus.
+"""Real-space normal-mode oracle for the harmonic torus and the open box.
 
 With H = p.p + q.K q, Hamilton's equations read dq/dt = 2p and
 dp/dt = -2Kq, where K is the stiffness matrix of the lattice graph.  With
@@ -10,7 +10,8 @@ with u^ = V^T u and v^ = V^T v, and the vacuum form is u^.u^/g + g v^.v^.
 Everything here is one ``eigh`` of K: no FFT, no Fourier symbol and no
 quadrature, so it checks the library's torus propagator and state from
 outside.  Dense arrays use the library's torus layout: index i along an
-axis stands for the coordinate i mod 2L.
+axis stands for the coordinate i mod 2L.  On the open box [-L, L]^d, index
+i stands for the coordinate i - L.
 """
 
 from __future__ import annotations
@@ -32,6 +33,26 @@ def torus_stiffness(omega: float, couplings, half_side: int) -> np.ndarray:
         neighbour = np.roll(index, -1, axis=axis).ravel()
         np.add.at(stiffness, (sites, neighbour), -lam)
         np.add.at(stiffness, (neighbour, sites), -lam)
+    return stiffness
+
+
+def box_stiffness(omega: float, couplings, half_side: int) -> np.ndarray:
+    """K of the open box [-L, L]^d: omega^2 plus lambda_j (e_x - e_y)(e_x - e_y)^T
+    for each bond x ~ y along axis j inside the box.
+
+    Bonds that would leave the box are dropped, so a boundary site has fewer
+    neighbours; as L grows the box dynamics near the origin approach Z^d.
+    """
+    d, n = len(couplings), 2 * half_side + 1
+    index = np.arange(n**d).reshape((n,) * d)
+    stiffness = np.diag(np.full(n**d, float(omega) ** 2))
+    for axis, lam in enumerate(couplings):
+        here = np.take(index, np.arange(n - 1), axis=axis).ravel()
+        there = np.take(index, np.arange(1, n), axis=axis).ravel()
+        stiffness[here, there] -= lam
+        stiffness[there, here] -= lam
+        stiffness[here, here] += lam
+        stiffness[there, there] += lam
     return stiffness
 
 

@@ -43,7 +43,6 @@ from lrlattice import (
     verify_kernel_bounds,
     volume_compare,
     weyl_matrix,
-    VolumeSequence,
 )
 from lrlattice.cli import main as cli_main
 
@@ -291,10 +290,10 @@ def test_criterion_11_thermodynamic_tails_and_volume_difference(capsys):
     conv = convolution_constant(profile, 40).value
 
     f = Field.delta(geometry, (0,), 0.2)
-    seq = VolumeSequence((4, 8, 16, 32, 64))
+    boxes = (4, 8, 16, 32, 64)
     tails = [
-        convergence_tail(f, seq, i + 1, i, 0.25, moment, cert, kappa_a, conv, profile)
-        for i in range(4)
+        convergence_tail(f, inner, outer, 0.25, moment, cert, kappa_a, conv, profile)
+        for inner, outer in zip(boxes, boxes[1:])
     ]
     monotone = all(b < a for a, b in zip(tails, tails[1:]))
 

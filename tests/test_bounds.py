@@ -16,14 +16,17 @@ from lrlattice import (
     LatticeGeometry,
     QuadratureConvergenceError,
     QuadratureSpec,
+    RATIO_FLOOR,
     ball_sites,
     commutator_norm,
+    compute_kernels,
     cone_scan,
     derive_constants,
     envelope_prefactor,
     envelope_speed,
     estimate_velocity,
     harmonic_bound_rhs,
+    kernel_envelope,
     pair_sum,
     spot_check_certificate,
     verify_kernel_bounds,
@@ -55,6 +58,21 @@ class TestKernelBoundVerification:
         params = HarmonicParameters(omega=0.0, couplings=(1.0, 1.0))
         (report,) = verify_kernel_bounds(params, [0.5], (0.5,), 8)
         assert report.max_ratio <= 1.0 + 1e-9
+
+    def test_stalled_refinement_falls_back_to_the_best_grid(self):
+        # No grid can meet a tolerance of 1e-300, so every time takes the
+        # fallback to the kernels at their best grid, errors folded in.
+        params = HarmonicParameters(omega=0.0, couplings=(1.0, 1.0))
+        quad = QuadratureSpec(points_per_axis=8, refinement_tolerance=1e-300)
+        with pytest.raises(QuadratureConvergenceError) as caught:
+            compute_kernels(params, 0.5, 4, quad)
+        (report,) = verify_kernel_bounds(params, [1.0], (0.5,), 4, quad)
+        expected = -math.inf
+        for m, kernel in caught.value.kernels.items():
+            allowance = max(kernel.est_quadrature_error, RATIO_FLOOR)
+            rhs = kernel_envelope(params, m, 1.0, kernel.radii(), 0.5)
+            expected = max(expected, float(np.max(np.abs(kernel.samples) / (rhs + allowance))))
+        assert report.max_ratio == expected <= 1.0 + 1e-9
 
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(DomainError):
@@ -287,6 +305,13 @@ class TestSpotCheck:
         cert = derive_constants(CHAIN, 1.0, profile)
         worst = spot_check_certificate(CHAIN, cert, profile, trials=30, seed=0)
         assert worst < 1.0
+
+    def test_a_one_site_support_is_valid(self):
+        profile = DecayProfile(1, epsilon=1.0, rate=1.0)
+        cert = derive_constants(CHAIN, 1.0, profile)
+        assert 0.0 < spot_check_certificate(CHAIN, cert, profile, trials=5, support_radius=0) < 1.0
+        with pytest.raises(DomainError, match="radius"):
+            spot_check_certificate(CHAIN, cert, profile, trials=5, support_radius=-1)
 
     def test_seed_reproducibility(self):
         profile = DecayProfile(1, epsilon=1.0, rate=1.0)

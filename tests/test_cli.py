@@ -19,6 +19,7 @@ from lrlattice import (
     ball_sites,
     bounds,
     cli,
+    compute_kernels,
     cone_scan,
     derive_constants,
     harmonic,
@@ -111,6 +112,18 @@ class TestReportContent:
         assert tails == sorted(tails, reverse=True)
         assert report["moments"]["pair"]["kappa_a"] == pytest.approx(0.08)
         assert report["moments"]["first"] == pytest.approx(0.4)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"cosine_z": 0.0}, {"f": [{"x": [0], "re": 0.0, "im": 0.0}]}],
+        ids=["zero-perturbation", "zero-label"],
+    )
+    def test_converge_tails_that_reach_zero_are_monotone(self, extra, tmp_path):
+        code, out = run("converge", tmp_path, extra={**extra, "boxes": [4, 8, 16]})
+        report = json.loads(out.read_text())
+        assert [row["tail"] for row in report["tails"]] == [0.0, 0.0]
+        assert report["monotone"] is True
+        assert code == 0
 
     def test_fock_json_structure(self, tmp_path):
         code, out = run("fock-verify", tmp_path)
@@ -314,6 +327,23 @@ class TestValidation:
         assert main(["fock-verify", "--config", str(config)]) == 2
         assert "strictly increasing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("boxes", [[4, 4], [8, 4], [0, 4], [-2, 4], [0]])
+    def test_converge_boxes_must_be_positive_and_increase(self, boxes, tmp_path, capsys):
+        code, out = run("converge", tmp_path, extra={"boxes": boxes})
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "config error: boxes: must be positive and strictly increasing\n"
+
+    def test_seed_applies_to_bounds_only(self, tmp_path, capsys):
+        code, out = run("kernel", tmp_path, flags=("--seed", "3"))
+        assert code == 2
+        assert not out.exists()
+        assert "flag --seed does not apply to command 'kernel'" in capsys.readouterr().err
+        code, out = run("cone", tmp_path, extra={"seed": 3})
+        assert code == 2
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, key, value",
         [
@@ -386,6 +416,26 @@ class TestExitCodes:
         assert not out.exists()
         assert "error: kernel quadrature reached 1e-3" in capsys.readouterr().err
 
+    def test_kernel_reports_the_first_unconverged_kernel_in_row_order(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Rows run m-major, so m = -1 at t = 1.0 precedes m = 1 at t = 0.5
+        # and m = -1 at t = 2.0.
+        smallest = {0.5: 1, 1.0: -1, 2.0: -1, 3.0: None}
+
+        def unconverged(params, t, window, quad, ms):
+            m = smallest[t]
+            if m is None:
+                return compute_kernels(params, t, window, quad, ms)
+            best = compute_kernels(params, t, window, quad, (m,))[m]
+            raise QuadratureConvergenceError(f"m = {m} at t = {t}", best=best)
+
+        monkeypatch.setattr(cli, "compute_kernels", unconverged)
+        code, out = run("kernel", tmp_path, extra={"t": [0.5, 1.0, 2.0, 3.0]})
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: m = -1 at t = 1.0\n"
+
     def test_velocity_fit_failure_is_a_runtime_error(self, tmp_path):
         # x_max 4 leaves fewer than three usable threshold crossings
         code, out = run("cone", tmp_path, extra={"x_max": 4})
@@ -453,7 +503,7 @@ def _per_row_worst_point(s: dict) -> dict:
     scan = cone_scan(params, s["x_max"], s["t"], s["theta"], s["tolerance"])
     profile = DecayProfile(s["d"], epsilon=s["epsilon"], rate=s["a"])
     cert = derive_constants(params, s["a"], profile, eta=s["eta"])
-    geometry = LatticeGeometry.infinite(s["d"], window_radius=s["x_max"])
+    geometry = LatticeGeometry.infinite(s["d"])
     origin = Field.delta(geometry, (0,) * s["d"])
     worst = {"ratio": -math.inf}
     for i, t in enumerate(scan.t_grid):
@@ -499,6 +549,44 @@ class TestSeededSpotCheck:
         ratio_c = json.loads(out_c.read_text())["spot_check_ratio"]
         assert ratio_a != ratio_c
         assert ratio_a < 1.0 and ratio_c < 1.0
+
+    def test_a_one_site_spot_support_is_accepted(self, tmp_path, capsys):
+        code, out = run("bounds", tmp_path, extra={"spot_trials": 3, "spot_radius": 0})
+        assert code == 0
+        assert 0.0 < json.loads(out.read_text())["spot_check_ratio"] < 1.0
+        extra = {"spot_trials": 3, "spot_radius": -1}
+        code, out = run("bounds", tmp_path, extra=extra, out_name="negative.out")
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
+
+
+class _ReadRecorder(dict):
+    """A scenario that records every key a runner reads."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# Overrides that take a branch the defaults skip: the spot check.
+BRANCHES = {"bounds": [{"spot_trials": 1}]}
+
+
+class TestEverySettingIsRead:
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_the_runner_reads_every_schema_key(self, command):
+        read = set()
+        for config in [{}, *BRANCHES.get(command, [])]:
+            scenario = _ReadRecorder(cli.parse_scenario(command, config, {}))
+            cli.RUNNERS[command](scenario)
+            read |= scenario.read
+        schema = set(cli._COMMON) | set(cli.SCHEMAS[command])
+        assert schema - read == {"command", "output", "format"}
 
 
 class TestDefaults:

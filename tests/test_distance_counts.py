@@ -17,7 +17,6 @@ from lrlattice import (
     Field,
     HarmonicParameters,
     LatticeGeometry,
-    VolumeSequence,
     ball_sites,
     convergence_tail,
     convergence_tail_sets,
@@ -92,11 +91,12 @@ def chain_setup(d, rate):
 def test_convergence_tail_matches_the_site_enumeration(d, label, onsite):
     cert, profile = chain_setup(d, 0.5 if onsite else 1.0)
     f = Field(LatticeGeometry.infinite(d), LABELS[d][label])
-    seq = VolumeSequence(BOXES[d])
+    boxes = BOXES[d]
     for n, m in INDEX_PAIRS:
-        shell = reference_box_shell(d, seq.boxes[m], seq.boxes[n])
+        inner, outer = boxes[m], boxes[n]
+        shell = reference_box_shell(d, inner, outer)
         args = (0.3, 0.4, cert, 0.08, 2.5, profile, onsite)
-        assert convergence_tail(f, seq, n, m, *args) == reference_tail(f, shell, *args), (n, m)
+        assert convergence_tail(f, inner, outer, *args) == reference_tail(f, shell, *args), (n, m)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -40,7 +40,7 @@ from lrlattice import (
     symplectic_form,
 )
 from lrlattice import harmonic
-from lrlattice.harmonic import MAX_REFINEMENTS, MU_GRID, _truncation_tail
+from lrlattice.harmonic import MAX_REFINEMENTS, MU_GRID, _truncation_tails
 
 CHAIN = HarmonicParameters(omega=1.0, couplings=(1.0,))
 MASSLESS = HarmonicParameters(omega=0.0, couplings=(1.0,))
@@ -576,7 +576,7 @@ class TestPinnedWindow:
             for t in (0.0, 0.7, 2.5):
                 for window in (0, 1, 7, 40, 300, 2048, 4096):
                     expected = _reference_truncation_tail(params, t, window, mu)
-                    assert _truncation_tail(params, t, window, mu) == expected
+                    assert _truncation_tails(params, t, mu)(window) == expected
 
     @pytest.mark.parametrize("params", PINNED_PARAMS)
     def test_certified_window_is_identical(self, params):

@@ -19,11 +19,12 @@ from lrlattice import (
     HarmonicParameters,
     LatticeGeometry,
     QuadratureSpec,
-    VolumeSequence,
     ball_sites,
     commutator_norm,
+    convergence_tail,
     convolution_constant,
     cosine_family,
+    derive_constants,
     pair_moment,
     shell_count,
     site_sort_key,
@@ -299,6 +300,10 @@ class TestConvolutionConstant:
 
 CHAIN = HarmonicParameters(omega=1.0, couplings=(1.0,))
 ONSITE = cosine_family(LatticeGeometry.infinite(1), [(0,)], z=0.2)
+ORIGIN = Field.delta(LatticeGeometry.infinite(1), (0,))
+CHAIN_PROFILE = DecayProfile(1, rate=1.0)
+# t, moment, certificate, kappa_a, convolution constant and profile of a chain's tail.
+TAIL_ARGS = (0.5, 0.4, derive_constants(CHAIN, 1.0, CHAIN_PROFILE), 0.08, 2.0, CHAIN_PROFILE)
 
 
 @pytest.mark.parametrize(
@@ -312,7 +317,9 @@ ONSITE = cosine_family(LatticeGeometry.infinite(1), [(0,)], z=0.2)
         pytest.param(lambda: FockConfig(2, 8.5, CHAIN), "cutoff", id="fock-cutoff"),
         pytest.param(lambda: FockConfig(True, 8, CHAIN), "sites", id="fock-sites"),
         pytest.param(lambda: QuadratureSpec(points_per_axis=64.5), "points_per_axis", id="quad"),
-        pytest.param(lambda: VolumeSequence((4.7, 8.2)), "half-sides", id="boxes"),
+        pytest.param(
+            lambda: convergence_tail(ORIGIN, 4.7, 8.2, *TAIL_ARGS), "half-sides", id="boxes"
+        ),
         pytest.param(lambda: shell_count(True, 2), "dimension", id="shell-count"),
         pytest.param(lambda: uniform_norm(DecayProfile(1), 2.5), "window", id="uniform-norm"),
         pytest.param(lambda: pair_moment(ONSITE, DecayProfile(1), 2.5), "window", id="pair-moment"),

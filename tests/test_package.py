@@ -36,7 +36,7 @@ PUBLIC_NAMES = {
     "verify_kernel_bounds", "derive_constants", "pair_sum", "harmonic_bound_rhs",
     "cone_scan", "estimate_velocity", "spot_check_certificate",
     # perturbations
-    "MeasureParityError", "AtomicWeylMeasure", "PerturbationFamily", "VolumeSequence",
+    "MeasureParityError", "AtomicWeylMeasure", "PerturbationFamily",
     "PairMoment", "second_moment", "pair_moment", "first_moment", "perturbed_bound",
     "convergence_tail", "convergence_tail_sets", "load_family", "cosine_family",
     # fock

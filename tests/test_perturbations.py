@@ -15,7 +15,6 @@ from lrlattice import (
     LatticeGeometry,
     MeasureParityError,
     PerturbationFamily,
-    VolumeSequence,
     convergence_tail,
     convergence_tail_sets,
     cosine_family,
@@ -167,15 +166,6 @@ class TestFamilyContainers:
         with pytest.raises(DomainError):
             family.restricted([(0,), (5,)])
 
-    def test_volume_sequence_validation(self):
-        assert VolumeSequence((4, 8, 16)).boxes == (4, 8, 16)
-        with pytest.raises(DomainError):
-            VolumeSequence(())
-        with pytest.raises(DomainError):
-            VolumeSequence((0, 2))
-        with pytest.raises(DomainError):
-            VolumeSequence((4, 4))
-
 
 def _write_json(tmp_path, data) -> str:
     path = tmp_path / "family.json"
@@ -316,9 +306,8 @@ class TestConvergenceTail:
         cert, profile = chain_cert()
         geo = LatticeGeometry.infinite(1)
         f = Field.delta(geo, (0,))
-        seq = VolumeSequence((1, 2))
         t, moment, kappa_a, conv = 0.25, 0.4, 0.08, 2.0
-        tail = convergence_tail(f, seq, 1, 0, t, moment, cert, kappa_a, conv, profile)
+        tail = convergence_tail(f, 1, 2, t, moment, cert, kappa_a, conv, profile)
         # shell of (-2, 2] minus (-1, 1] is {-1, 2}
         rate = cert.v_a + cert.c_a * kappa_a * conv**2
         reach = profile.value(1) + profile.value(2)
@@ -329,18 +318,17 @@ class TestConvergenceTail:
         cert, profile = chain_cert()
         geo = LatticeGeometry.infinite(1)
         f = Field.delta(geo, (0,))
-        seq = VolumeSequence((2, 4))
-        assert convergence_tail(f, seq, 1, 0, 0.0, 0.4, cert, 0.08, 2.0, profile) == 0.0
-        assert convergence_tail(f, seq, 1, 1, 0.5, 0.4, cert, 0.08, 2.0, profile) == 0.0
+        assert convergence_tail(f, 2, 4, 0.0, 0.4, cert, 0.08, 2.0, profile) == 0.0
+        assert convergence_tail(f, 4, 4, 0.5, 0.4, cert, 0.08, 2.0, profile) == 0.0
 
     def test_tails_shrink_along_nested_boxes(self):
         cert, profile = chain_cert()
         geo = LatticeGeometry.infinite(1)
         f = Field.delta(geo, (0,))
-        seq = VolumeSequence((4, 8, 16, 32, 64))
+        boxes = (4, 8, 16, 32, 64)
         tails = [
-            convergence_tail(f, seq, m + 1, m, 0.25, 0.4, cert, 0.08, 2.0, profile)
-            for m in range(4)
+            convergence_tail(f, inner, outer, 0.25, 0.4, cert, 0.08, 2.0, profile)
+            for inner, outer in zip(boxes, boxes[1:])
         ]
         assert all(b < a for a, b in zip(tails, tails[1:]))
         assert tails[-1] < 1e-6
@@ -349,50 +337,49 @@ class TestConvergenceTail:
         cert, profile = chain_cert()
         geo = LatticeGeometry.infinite(1)
         f = Field.delta(geo, (0,))
-        seq = VolumeSequence((2, 4))
-        with pytest.raises(DomainError):
-            convergence_tail(f, seq, 0, 1, 0.5, 0.4, cert, 0.08, 2.0, profile)
-        with pytest.raises(DomainError):
-            convergence_tail(f, seq, 5, 0, 0.5, 0.4, cert, 0.08, 2.0, profile)
-        with pytest.raises(DomainError):
-            convergence_tail(f, seq, 1, 0, 0.5, -0.4, cert, 0.08, 2.0, profile)
+        with pytest.raises(DomainError, match="inner <= outer"):
+            convergence_tail(f, 4, 2, 0.5, 0.4, cert, 0.08, 2.0, profile)
+        with pytest.raises(DomainError, match="1 <= inner"):
+            convergence_tail(f, 0, 2, 0.5, 0.4, cert, 0.08, 2.0, profile)
+        with pytest.raises(DomainError, match="nonnegative"):
+            convergence_tail(f, 2, 4, 0.5, -0.4, cert, 0.08, 2.0, profile)
 
     def test_torus_labels_rejected(self):
         cert, profile = chain_cert()
         torus = LatticeGeometry.torus(1, 8)
         f = Field.delta(torus, (0,))
         with pytest.raises(GeometryMismatchError):
-            convergence_tail(f, VolumeSequence((2, 4)), 1, 0, 0.5, 0.4, cert, 0.08, 2.0, profile)
+            convergence_tail(f, 2, 4, 0.5, 0.4, cert, 0.08, 2.0, profile)
 
     def test_label_must_sit_inside_the_inner_box(self):
         cert, profile = chain_cert()
         geo = LatticeGeometry.infinite(1)
         f = Field.delta(geo, (3,))
         with pytest.raises(DomainError):
-            convergence_tail(f, VolumeSequence((2, 4)), 1, 0, 0.5, 0.4, cert, 0.08, 2.0, profile)
+            convergence_tail(f, 2, 4, 0.5, 0.4, cert, 0.08, 2.0, profile)
 
     def test_profile_dimension_must_match_the_label(self):
         cert, _ = chain_cert()
         f = Field.delta(LatticeGeometry.infinite(1), (0,))
         plane = DecayProfile(2, epsilon=1.0, rate=1.0)
         with pytest.raises(GeometryMismatchError):
-            convergence_tail(f, VolumeSequence((2, 4)), 1, 0, 0.5, 0.4, cert, 0.08, 2.0, plane)
+            convergence_tail(f, 2, 4, 0.5, 0.4, cert, 0.08, 2.0, plane)
         with pytest.raises(GeometryMismatchError):
             convergence_tail_sets(f, [(0,)], [(0,), (1,)], 0.5, 0.4, cert, 0.08, 2.0, plane)
 
-    @pytest.mark.parametrize("n, m", [(1.0, 0), (1, 0.0), (True, 0), (1, False)])
-    def test_box_indices_must_be_integers(self, n, m):
+    @pytest.mark.parametrize("inner, outer", [(2.0, 4), (2, 4.0), (True, 4), (2, False)])
+    def test_half_sides_must_be_integers(self, inner, outer):
         cert, profile = chain_cert()
         f = Field.delta(LatticeGeometry.infinite(1), (0,))
         with pytest.raises(DomainError, match="integers"):
-            convergence_tail(f, VolumeSequence((2, 4)), n, m, 0.5, 0.4, cert, 0.08, 2.0, profile)
+            convergence_tail(f, inner, outer, 0.5, 0.4, cert, 0.08, 2.0, profile)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_time_must_be_finite(self, t):
         cert, profile = chain_cert()
         f = Field.delta(LatticeGeometry.infinite(1), (0,))
         with pytest.raises(DomainError, match="finite"):
-            convergence_tail(f, VolumeSequence((2, 4)), 1, 0, t, 0.4, cert, 0.08, 2.0, profile)
+            convergence_tail(f, 2, 4, t, 0.4, cert, 0.08, 2.0, profile)
         with pytest.raises(DomainError, match="finite"):
             convergence_tail_sets(f, [(0,)], [(0,), (1,)], t, 0.4, cert, 0.08, 2.0, profile)
         with pytest.raises(DomainError, match="finite"):
@@ -405,9 +392,8 @@ class TestConvergenceTail:
     def test_nan_constants_are_rejected(self, moment, kappa_a, conv):
         cert, profile = chain_cert()
         f = Field.delta(LatticeGeometry.infinite(1), (0,))
-        seq = VolumeSequence((2, 4))
         with pytest.raises(DomainError, match="nonnegative"):
-            convergence_tail(f, seq, 1, 0, 0.5, moment, cert, kappa_a, conv, profile)
+            convergence_tail(f, 2, 4, 0.5, moment, cert, kappa_a, conv, profile)
 
     def test_overflowing_growth_is_a_domain_error(self):
         cert, profile = chain_cert()
@@ -415,14 +401,13 @@ class TestConvergenceTail:
         with pytest.raises(DomainError, match=r"overflows at rate .* and \|t\| = 1000"):
             perturbed_bound(f, f, -1000.0, cert, 0.08, 2.0, profile)
         with pytest.raises(DomainError, match="overflows"):
-            convergence_tail(f, VolumeSequence((2, 4)), 1, 0, 1e3, 0.4, cert, 0.08, 2.0, profile)
+            convergence_tail(f, 2, 4, 1e3, 0.4, cert, 0.08, 2.0, profile)
 
     def test_explicit_sets_match_the_box_form(self):
         cert, profile = chain_cert()
         geo = LatticeGeometry.infinite(1)
         f = Field.delta(geo, (0,))
-        seq = VolumeSequence((1, 2))
-        boxed = convergence_tail(f, seq, 1, 0, 0.3, 0.4, cert, 0.08, 2.0, profile)
+        boxed = convergence_tail(f, 1, 2, 0.3, 0.4, cert, 0.08, 2.0, profile)
         inner = [(0,), (1,)]
         outer = [(-1,), (0,), (1,), (2,)]
         explicit = convergence_tail_sets(
