@@ -110,8 +110,8 @@ def verify_kernel_bounds(
     meaningless.  The verification passes when the maximum ratio stays
     below 1 + 1e-9.  Each time's kernels are computed once and checked
     against every rate, giving one report per rate in the order of ``mus``.
-    Where refinement stalls (massless models in d >= 2 converge only
-    algebraically), the kernels at their best grid are used instead.
+    Where refinement stalls (at tolerances near roundoff, massless d >= 2
+    included), the kernels at their best grid are used instead.
     """
     mus = [float(mu) for mu in mus]
     t_grid = [float(t) for t in t_grid]

@@ -52,9 +52,9 @@ class TestKernelBoundVerification:
         assert type(point["x"]) is tuple and all(type(c) is int for c in point["x"])
         assert abs(point["value"]) <= (point["envelope"] + point["allowance"]) * (1 + 1e-9)
 
-    def test_two_dimensional_massless_survives_slow_quadrature(self):
-        # conical-point quadrature converges only algebraically; the
-        # verifier must still return with the achieved error folded in
+    def test_two_dimensional_massless_envelope_holds(self):
+        # The conical point at k = 0 slows the quadrature, but at the default
+        # tolerance it converges, so no fallback is taken.
         params = HarmonicParameters(omega=0.0, couplings=(1.0, 1.0))
         (report,) = verify_kernel_bounds(params, [0.5], (0.5,), 8)
         assert report.max_ratio <= 1.0 + 1e-9

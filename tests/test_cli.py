@@ -154,6 +154,30 @@ class TestReportContent:
         raw = out.read_text()
         assert f"{report['max_ratio']:.16e}" in raw
 
+    def test_an_integer_label_site_is_a_one_coordinate_list(self, tmp_path):
+        integers = {"f": [{"x": 0, "re": 0.5}], "g2": [{"x": -1, "im": 0.4}]}
+        lists = {"f": [{"x": [0], "re": 0.5}], "g2": [{"x": [-1], "im": 0.4}]}
+        _, out_int = run("state", tmp_path, extra=integers, out_name="int.json")
+        _, out_list = run("state", tmp_path, extra=lists, out_name="list.json")
+        assert out_int.read_bytes() == out_list.read_bytes()
+
+    def test_an_odd_points_is_rounded_up(self, tmp_path):
+        _, odd = run("kernel", tmp_path, extra={"points": 63}, out_name="odd.csv")
+        _, even = run("kernel", tmp_path, extra={"points": 64}, out_name="even.csv")
+        assert odd.read_bytes() == even.read_bytes()
+
+    def test_converge_reads_a_perturbation_file(self, tmp_path):
+        # The file's one even atom pair on the origin is the default cosine family.
+        family = tmp_path / "family.json"
+        atoms = [{"z": [[0.2, 0.0]], "weight": 1.0}]
+        family.write_text(json.dumps([{"sites": [[0]], "atoms": atoms}]))
+        _, from_file = run("converge", tmp_path, {"perturbation": str(family)}, out_name="a.json")
+        _, cosine = run("converge", tmp_path, out_name="b.json")
+        from_file, cosine = json.loads(from_file.read_text()), json.loads(cosine.read_text())
+        assert from_file.pop("config")["perturbation"] == str(family)
+        assert cosine.pop("config")["perturbation"] is None
+        assert from_file == cosine
+
 
 class TestKernelReuse:
     def test_a_mu_grid_computes_the_kernels_of_each_time_once(self, tmp_path, monkeypatch):
@@ -489,6 +513,34 @@ class TestExitCodes:
         assert main(["state", "--config", str(config), "--output", str(out)]) == 2
         assert not out.exists()
         assert "zero lattice mean" in capsys.readouterr().err
+
+    def test_zero_convention_takes_a_nonzero_mean_f(self, tmp_path):
+        # f alone lies outside the massless form domain; g1 + T_t f + g2 lies inside.
+        config = {
+            "omega": 0.0,
+            "half_side": 8,
+            "f": [{"x": [0], "re": 0.5}],
+            "g1": [{"x": [1], "re": -0.5}],
+            "zero_convention": True,
+        }
+        code, out = run("state", tmp_path, extra=config)
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["gaussian_value"] == {"re": 0.0, "im": 0.0}
+        assert report["invariance"]["worst_error"] == 0.0
+        assert all(v["re"] != 0.0 for v in report["continuity"]["values"])
+
+    def test_a_massless_state_with_a_zero_coupling_is_an_error(self, tmp_path, capsys):
+        code, out = run("state", tmp_path, extra={"d": 2, "omega": 0.0, "lambda": [1.0, 0.0]})
+        assert code == 2
+        assert not out.exists()
+        assert "every coupling positive" in capsys.readouterr().err
+
+    def test_massless_fock_verify_runs(self, tmp_path):
+        # The default f has a nonzero position mean on the 2-site ring.
+        code, out = run("fock-verify", tmp_path, flags=("--omega", "0"))
+        assert code == 0
+        assert json.loads(out.read_text())["satisfied"] is True
 
     def test_no_temp_files_left_behind(self, tmp_path):
         run("kernel", tmp_path)

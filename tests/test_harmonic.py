@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from realspace import NormalModes, torus_stiffness
 
 from lrlattice import (
     DomainError,
@@ -25,7 +26,6 @@ from lrlattice import (
     QuadratureSpec,
     SingularModeError,
     WindowCertificationError,
-    ZeroModeError,
     apply_propagator_convolution,
     apply_propagator_torus,
     bogoliubov_multipliers,
@@ -645,10 +645,32 @@ class TestPropagatorAgreement:
 
 
 class TestMasslessZeroMode:
-    def test_nonzero_mean_on_torus_raises(self):
-        geo = LatticeGeometry.torus(1, half_side=8)
-        with pytest.raises(ZeroModeError):
-            apply_propagator_torus(Field.delta(geo, (0,)), MASSLESS, 1.0)
+    @pytest.mark.parametrize(
+        "couplings, half_side",
+        [
+            pytest.param((1.0,), 6, id="d1"),
+            pytest.param((0.8, 1.3), 4, id="d2"),
+            pytest.param((0.4, 1.0, 0.8), 3, id="d3"),
+        ],
+    )
+    @pytest.mark.parametrize("t", [0.37, 1.9, -3.1])
+    def test_nonzero_mean_labels_match_normal_modes(self, couplings, half_side, t):
+        # The dynamics needs no zero mean: the zero mode keeps its position
+        # part u0 and its momentum part moves to v0 + 2 t u0.
+        params = HarmonicParameters(omega=0.0, couplings=couplings)
+        d = params.dimension
+        geo = LatticeGeometry.torus(d, half_side=half_side)
+        modes = NormalModes(torus_stiffness(0.0, couplings, half_side))
+        rng = np.random.default_rng(half_side)
+        shape = (geo.extent,) * d
+        dense = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        sparse = np.zeros(shape, dtype=complex)
+        sparse[(0,) * d] = 0.5 + 0.2j
+        sparse[(1,) + (0,) * (d - 1)] = 0.1
+        for label in (dense / np.linalg.norm(dense), sparse):
+            assert abs(label.real.sum()) > 0.1
+            moved = apply_propagator_torus(Field.from_dense(geo, label), params, t)
+            assert np.abs(moved.to_dense() - modes.evolve(label, t)).max() <= 1e-14
 
     def test_zero_mean_evolves_and_inverts(self):
         geo = LatticeGeometry.torus(1, half_side=8)
@@ -685,6 +707,15 @@ class TestConvolutionPropagator:
         geo = LatticeGeometry.torus(1, half_side=8)
         with pytest.raises(GeometryMismatchError):
             apply_propagator_convolution(Field.delta(geo, (0,)), CHAIN, 1.0)
+
+    def test_a_zero_label_needs_no_window(self):
+        # At t = 200 no window certifies the tolerance; a zero label stays zero.
+        geo = LatticeGeometry.infinite(1)
+        with pytest.raises(WindowCertificationError):
+            certified_window(CHAIN, 200.0, 5e-11, 0.0)
+        zero = Field.zero(geo)
+        assert apply_propagator_convolution(zero, CHAIN, 200.0).is_zero()
+        assert commutator_norm(zero, Field.delta(geo, (3,), 0.5), CHAIN, 200.0) == 0.0
 
     def test_infinite_field_rejected_by_torus_propagator(self):
         geo = LatticeGeometry.infinite(1)

@@ -24,12 +24,12 @@ PUBLIC_NAMES = {
     "site_sort_key", "uniform_norm", "convolution_constant",
     # harmonic
     "HarmonicParameters", "Field", "Kernel", "QuadratureSpec", "MU_GRID",
-    "SingularModeError", "ZeroModeError", "QuadratureConvergenceError",
+    "SingularModeError", "QuadratureConvergenceError",
     "WindowCertificationError", "gamma", "bogoliubov_multipliers", "symplectic_form",
     "compute_kernel", "compute_kernels", "kernel_envelope", "envelope_speed", "envelope_prefactor",
     "certified_window", "apply_propagator_torus", "apply_propagator_convolution",
     # weyl
-    "WeylOperator", "QuasiFreeState", "multiply", "adjoint", "commutator_norm",
+    "ZeroModeError", "WeylOperator", "QuasiFreeState", "multiply", "adjoint", "commutator_norm",
     "smeared_norm_sq", "state_eval", "three_point", "three_point_continuity",
     # bounds
     "RATIO_FLOOR", "DecayCertificate", "KernelBoundReport", "VelocityFit", "ConeScan",

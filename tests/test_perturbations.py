@@ -136,6 +136,20 @@ class TestMomentConstants:
         assert result.kappa_a == pytest.approx(0.24 / 0.25, rel=1e-12)
         assert result.worst_pair == ((0,), (1,))
 
+    def test_pair_moment_skips_pairs_beyond_the_window(self):
+        geo = LatticeGeometry.infinite(1)
+        measure = AtomicWeylMeasure(sites=((0,), (10,)), atoms=(((0.3, 0.3), 1.0),))
+        family = PerturbationFamily(geo, ((0,), (10,)), (measure,))
+        profile = DecayProfile(1, epsilon=1.0, rate=1.0)
+        # Every numerator is 2 * 0.3 * 0.3 (the atom and its mirror); only a
+        # window of 10 or more reaches the pair, where F_a(10) is small.
+        near = pair_moment(family, profile, window=4)
+        assert near.kappa_a == pytest.approx(0.18, rel=1e-12)
+        assert near.worst_pair[0] == near.worst_pair[1]
+        far = pair_moment(family, profile, window=12)
+        assert far.kappa_a == pytest.approx(0.18 / profile.value(10), rel=1e-12)
+        assert far.worst_pair == ((0,), (10,))
+
     def test_pair_moment_guards(self):
         geo = LatticeGeometry.infinite(1)
         family = cosine_family(geo, [(0,)], z=0.2)

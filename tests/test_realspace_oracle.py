@@ -93,6 +93,20 @@ BOXES = [
     pytest.param(HarmonicParameters(1.0, (1.0, 1.0)), 0.75, PLANE_GAPS, id="d2"),
     pytest.param(HarmonicParameters(0.7, (1.0, 0.5)), 0.75, PLANE_GAPS, id="d2-anisotropic"),
 ]
+# d = 3 at t = 0.5, measured gaps at L = 3, 4, 5: 1.7e-3, 3.9e-5 and 5.3e-7
+# isotropic, 3.9e-4, 5.0e-6 and 4.1e-8 anisotropic.  Each convolution takes
+# about a second, so only the propagator test runs them.
+SPACE_BOXES = [
+    pytest.param(
+        HarmonicParameters(1.0, (1.0, 1.0, 1.0)), 0.5, {3: 6e-3, 4: 1.5e-4, 5: 2e-6}, id="d3"
+    ),
+    pytest.param(
+        HarmonicParameters(1.3, (0.4, 1.0, 0.8)),
+        0.5,
+        {3: 1.5e-3, 4: 2e-5, 5: 1.5e-7},
+        id="d3-anisotropic",
+    ),
+]
 
 
 def _box_evolve(params, half_side, label: dict, t):
@@ -107,7 +121,7 @@ def _box_evolve(params, half_side, label: dict, t):
     return sites, moved[tuple((sites + L).T)]
 
 
-@pytest.mark.parametrize("params, t, gaps", BOXES)
+@pytest.mark.parametrize("params, t, gaps", BOXES + SPACE_BOXES)
 def test_convolution_propagator_matches_open_boxes(params, t, gaps):
     d = params.dimension
     label = {(0,) * d: 0.5 + 0.2j, (1,) + (0,) * (d - 1): -0.1j}

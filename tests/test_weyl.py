@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lrlattice import (
+    DomainError,
     Field,
     GeometryMismatchError,
     HarmonicParameters,
@@ -209,11 +210,10 @@ class TestMasslessState:
         (8,): -0.19866551106862,
     }
 
-    def test_state_and_propagator_share_the_zero_mean_test(self):
+    def test_the_zero_mean_test_takes_the_exact_sum(self):
         geo = LatticeGeometry.torus(1, half_side=8)
         state = QuasiFreeState(MASSLESS, geo)
         f = Field(geo, self.NEAR_THRESHOLD)
-        apply_propagator_torus(f, MASSLESS, 0.5)
         assert math.isfinite(smeared_norm_sq(state, f))
         assert state_eval(state, WeylOperator(f), zero_convention=True) != 0.0
 
@@ -224,6 +224,29 @@ class TestMasslessState:
         form = smeared_norm_sq(state, f)
         assert math.isfinite(form)
         assert form > 0.0
+
+    def test_a_zero_coupling_is_refused(self):
+        # With lambda = (1, 0) every mode on the line k_1 = 0 is massless, not
+        # only k = 0, so a zero total mean would not put a label in the domain.
+        params = HarmonicParameters(omega=0.0, couplings=(1.0, 0.0))
+        with pytest.raises(DomainError, match="every coupling positive"):
+            QuasiFreeState(params, LatticeGeometry.torus(2, half_side=2))
+        # A massive state with a zero coupling stays regular.
+        massive = HarmonicParameters(omega=0.5, couplings=(1.0, 0.0))
+        QuasiFreeState(massive, LatticeGeometry.torus(2, half_side=2))
+
+    def test_opposite_labels_around_a_nonzero_mean_f(self):
+        # f = delta_0 / 2 alone lies outside the form domain, but the total
+        # g1 + T_t f + g2 does not: T_t keeps the position sum, so the total's is 0.
+        geo = LatticeGeometry.torus(1, half_side=4)
+        state = QuasiFreeState(MASSLESS, geo)
+        g1, f = Field.delta(geo, (0,), -0.5), Field.delta(geo, (0,), 0.5)
+        zero = Field.zero(geo)
+        assert three_point(state, g1, f, zero, 0.0) == 1.0
+        for t in (0.4, 1.3):
+            value = three_point(state, g1, f, zero, t)
+            assert value == _reference_three_point(state, g1, f, zero, t, False)
+            assert 0.0 < abs(value) < 1.0
 
 
 class TestThreePoint:
@@ -369,13 +392,22 @@ class TestDenseTimeGrid:
         with pytest.raises(ZeroModeError):
             three_point_continuity(state, g1, f, g2, TIMES)
 
-    def test_a_nonzero_mean_f_raises_even_with_the_convention(self):
+    @pytest.mark.parametrize("offset", [0.0, -0.25], ids=["outside", "inside"])
+    def test_a_nonzero_mean_f_follows_the_convention(self, offset):
+        # T_t keeps the position mean, so the total's mean is 0.25 + offset at every t.
         params = HarmonicParameters(omega=0.0, couplings=(1.0,))
         geo = LatticeGeometry.torus(1, half_side=20)
         state = QuasiFreeState(params, geo)
         g1, f, g2 = _pair_labels(geo, np.random.default_rng(3), 1)
         f = f + Field.delta(geo, (1,), 0.25)
-        with pytest.raises(ZeroModeError):
-            _reference_three_point(state, g1, f, g2, 0.5, True)
-        with pytest.raises(ZeroModeError):
-            three_point_continuity(state, g1, f, g2, TIMES, zero_convention=True)
+        g1 = g1 + Field.delta(geo, (0,), offset)
+        expected = tuple(_reference_three_point(state, g1, f, g2, t, True) for t in TIMES)
+        assert three_point_continuity(state, g1, f, g2, TIMES, zero_convention=True)[0] == expected
+        if offset:
+            assert 0.0 not in expected
+            assert three_point_continuity(state, g1, f, g2, TIMES)[0] == expected
+        else:
+            assert expected == (0.0,) * len(TIMES)
+            for t in TIMES:
+                with pytest.raises(ZeroModeError):
+                    three_point(state, g1, f, g2, t)
