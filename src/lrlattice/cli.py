@@ -21,6 +21,7 @@ import sys
 import tempfile
 from dataclasses import asdict
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,28 +74,53 @@ COMMANDS = ("kernel", "cone", "bounds", "state", "converge", "fock-verify")
 # Deterministic serialization.
 
 
-def format_float(x: float) -> str:
-    """Scientific notation with 17 significant digits; round-trip exact."""
-    return f"{float(x):.16e}"
+def _scalar(v, other) -> str:
+    """The cell rule of both formats: a finite float in scientific notation with 17
+    significant digits (round-trip exact); ``other`` writes what is not a bool, int or
+    finite float."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    return f"{float(v):.16e}" if isinstance(v, float) and math.isfinite(v) else other(v)
+
+
+class _Rows(NamedTuple):
+    """Records as a JSON list of objects keyed by ``header``; every row is as long."""
+
+    header: list
+    rows: list
+
+
+def _row_cells(rows, cell):
+    """A % code per column, and the rows as tuples for ``template % row``: %d for a column
+    of ints, %.16e for one of finite floats (the scalar rule's strings), else %s over ``cell``."""
+    columns, codes = list(zip(*rows)), []
+    for j, column in enumerate(columns):
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            codes.append("%d")
+        elif kinds <= {float, np.float64} and all(map(math.isfinite, column)):
+            codes.append("%.16e")
+        else:
+            codes.append("%s")
+            columns[j] = list(map(cell, column))
+    return codes, list(zip(*columns)) if columns else [()] * len(rows)
 
 
 def _json_value(obj, indent: int) -> str:
     pad = " " * indent
     inner = " " * (indent + 2)
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return format_float(obj)
-        return json.dumps(str(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    if isinstance(obj, _Rows):
+        if not obj.rows:
+            return "[]"
+        codes, rows = _row_cells(obj.rows, lambda v: _json_value(v, indent + 4))
+        keys = [json.dumps(str(k)).replace("%", "%%") for k in obj.header]
+        fields = ",\n".join(f"{inner}  {k}: {c}" for k, c in zip(keys, codes))
+        template = f"{inner}{{\n{fields}\n{inner}}}" if fields else inner + "{}"
+        return "[\n" + ",\n".join([template % row for row in rows]) + f"\n{pad}]"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -107,7 +133,13 @@ def _json_value(obj, indent: int) -> str:
             f"{inner}{json.dumps(str(k))}: {_json_value(v, indent + 2)}" for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return _scalar(obj, _json_text)
+
+
+def _json_text(v) -> str:
+    if v is not None and not isinstance(v, (str, float)):
+        raise TypeError(f"cannot serialize {type(v).__name__}")
+    return json.dumps(v if v is None else str(v))  # a non-finite float as "nan", "inf", "-inf"
 
 
 def json_report(obj: dict) -> str:
@@ -116,20 +148,9 @@ def json_report(obj: dict) -> str:
 
 
 def csv_report(header, rows) -> str:
-    def cell(v):
-        if isinstance(v, np.generic):
-            v = v.item()
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, int):
-            return str(v)
-        if isinstance(v, float):
-            return format_float(v)
-        return str(v)
-
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    """CSV through the JSON writer's scalar rule; non-finite floats are written bare."""
+    codes, rows = _row_cells(rows, lambda v: _scalar(v, str))
+    return "\n".join([",".join(header), *map(",".join(codes).__mod__, rows)]) + "\n"
 
 
 def atomic_write(path: str, text: str):
@@ -455,10 +476,6 @@ def _echo_config(scenario: dict) -> dict:
 # ``main`` renders the report in the requested format.
 
 
-def _records(header, rows) -> list:
-    return [dict(zip(header, row)) for row in rows]
-
-
 def _run_kernel(s: dict):
     params = _params(s)
     quad = QuadratureSpec(
@@ -486,7 +503,7 @@ def _run_kernel(s: dict):
         for site, value in zip(kernels[m].sites.tolist(), kernels[m].samples)
     ]
     header = ["m", "t", *[f"x_{i + 1}" for i in range(d)], "value", "est_error"]
-    return False, header, rows, {"rows": _records(header, rows)}
+    return False, header, rows, {"rows": _Rows(header, rows)}
 
 
 def _run_cone(s: dict):
@@ -530,7 +547,7 @@ def _run_cone(s: dict):
         "certificate": asdict(cert),
         "bound_satisfied": not violated,
         "worst_point": worst,
-        "rows": _records(header, rows),
+        "rows": _Rows(header, rows),
     }
 
 
@@ -566,7 +583,7 @@ def _run_bounds(s: dict):
     return violated, header, rows, {
         "max_ratio": max_ratio,
         "worst_point": worst,
-        "per_mu": _records(header, rows),
+        "per_mu": _Rows(header, rows),
         "certificate": asdict(cert),
         "spot_check_ratio": spot,
         "bound_satisfied": not violated,
@@ -608,11 +625,11 @@ def _run_state(s: dict):
             "worst_t": worst_t,
             "tolerance": s["invariance_tol"],
             "satisfied": not violated,
-            "rows": _records(["t", "error"], invariance),
+            "rows": _Rows(["t", "error"], invariance),
         },
         "continuity": {
             "t": t_grid,
-            "values": [{"re": v.real, "im": v.imag} for v in values],
+            "values": _Rows(["re", "im"], [(v.real, v.imag) for v in values]),
             "modulus": modulus,
         },
     }
@@ -665,7 +682,7 @@ def _run_converge(s: dict):
             "convolution_converged": conv.converged,
         },
         "certificate": asdict(cert),
-        "tails": _records(header, tails),
+        "tails": _Rows(header, tails),
         "monotone": monotone,
     }
 
@@ -699,7 +716,7 @@ def _run_fock_verify(s: dict):
         "error_estimate": error,
         "tolerance": s["rel_tol"],
         "satisfied": not violated,
-        "cutoff_study": _records(header, study),
+        "cutoff_study": _Rows(header, study),
     }
 
 

@@ -695,19 +695,17 @@ def certified_window(
 # Propagators.
 
 
-def _propagator_symbols(gam: np.ndarray, t: float):
+def _propagator_symbols(gam: np.ndarray, t):
     """Fourier symbols (A, B) with T_t f = A fhat + B conj(f)hat.
 
     A = cos(2 gamma t) + (i/2)(gamma^-1 + gamma) sin(2 gamma t) and
     B = (i/2)(gamma^-1 - gamma) sin(2 gamma t); at a massless zero mode the
-    removable limit sin(2 gamma t) / gamma -> 2 t is substituted.
+    removable limit sin(2 gamma t) / gamma -> 2 t is substituted.  ``t`` is a
+    time or an array of times that broadcasts against ``gam``.
     """
     cos = np.cos(2.0 * gam * t)
     sin = np.sin(2.0 * gam * t)
-    ratio = np.empty_like(gam)
-    nz = gam > 0
-    ratio[nz] = sin[nz] / gam[nz]
-    ratio[~nz] = 2.0 * t
+    ratio = np.divide(sin, gam, out=np.broadcast_to(2.0 * t, sin.shape).copy(), where=gam > 0)
     a = cos + 0.5j * (ratio + gam * sin)
     b = 0.5j * (ratio - gam * sin)
     return a, b
@@ -719,51 +717,64 @@ def _torus_gamma(params: HarmonicParameters, geometry: LatticeGeometry) -> np.nd
     return _gamma_grid(params, [axis] * params.dimension)
 
 
-def _fftn(x: np.ndarray) -> np.ndarray:
-    # On a chain, fft gives fftn's bits without fftn's costly axis bookkeeping.
-    return np.fft.fft(x) if x.ndim == 1 else np.fft.fftn(x)
+def _fftn(x: np.ndarray, d: int) -> np.ndarray:
+    # Over the last d axes, so a stack of labels goes at once.  On a chain, fft gives
+    # fftn's bits without fftn's costly axis bookkeeping.
+    return np.fft.fft(x) if d == 1 else np.fft.fftn(x, axes=range(-d, 0))
 
 
-def _ifftn(x: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(x) if x.ndim == 1 else np.fft.ifftn(x)
+def _ifftn(x: np.ndarray, d: int) -> np.ndarray:
+    return np.fft.ifft(x) if d == 1 else np.fft.ifftn(x, axes=range(-d, 0))
 
 
-# Both flows keep their expressions' forms: above numpy's 256 KB elision size, sym * fftn(x)
-# multiplies in place with the operands swapped, which rounds differently, so hoisting a
-# transform out of the t-dependent part changes bits (it did on d = 2 tori at half-side 64-79).
+def _symbol_product(gam: np.ndarray):
+    # (sym, hat) -> sym * hat, rounded per slice as sym * fftn(x) rounds on one label: numpy
+    # multiplies a temporary of 256 KB or more in place, swapping the operands when the
+    # temporary is the right one, and a swapped complex product rounds differently.
+    swapped = 16 * gam.size >= 2**18
+    return (lambda sym, hat: np.multiply(hat, sym)) if swapped else np.multiply
+
+
+# Each flow forms its t-independent transforms once and maps a (T, 1, ...) array of times
+# to the (T, ...) stack of evolved labels, with the bits of one label evolved per time.
 def _evolve_bogoliubov(dense: np.ndarray, gam: np.ndarray):
     # Composition (U + V) M_t (U* - V*) with U, V the multiplier /
     # conjugation maps built from the Bogoliubov pair.  Valid for omega > 0
     # where both multipliers are finite on every mode.
+    d, product = gam.ndim, _symbol_product(gam)
     root = np.sqrt(gam)
     plus = 1.0 / root + root
     minus = 1.0 / root - root
 
     def mult(vec, sym):
-        return _ifftn(sym * _fftn(vec))
+        return _ifftn(product(sym, _fftn(vec, d)), d)
 
-    inner = -0.5j * mult(dense, plus) - 0.5j * mult(np.conj(dense), minus)
+    inner_hat = _fftn(-0.5j * mult(dense, plus) - 0.5j * mult(np.conj(dense), minus), d)
 
     def evolve(t):
-        rotated = mult(inner, np.exp(2j * gam * t))
+        rotated = _ifftn(product(np.exp(2j * gam * t), inner_hat), d)
         return 0.5j * mult(rotated, plus) + 0.5j * mult(np.conj(rotated), minus)
 
     return evolve
 
 
 def _evolve_multiplier(dense: np.ndarray, gam: np.ndarray):
+    d, product = gam.ndim, _symbol_product(gam)
+    dense_hat, conj_hat = _fftn(dense, d), _fftn(np.conj(dense), d)
+
     def evolve(t):
         a, b = _propagator_symbols(gam, t)
-        out = _ifftn(a * _fftn(dense))
-        out += _ifftn(b * _fftn(np.conj(dense)))
+        out = _ifftn(product(a, dense_hat), d)
+        out += _ifftn(product(b, conj_hat), d)
         return out
 
     return evolve
 
 
 def _torus_flow(dense: np.ndarray, params: HarmonicParameters, gam: np.ndarray):
-    """t -> T_t of a dense torus label (t unchecked), ``gam`` the torus dispersion."""
-    return (_evolve_multiplier if params.is_massless else _evolve_bogoliubov)(dense, gam)
+    """times -> the (T, ...) stack of T_t of a dense torus label (times unchecked)."""
+    evolve = (_evolve_multiplier if params.is_massless else _evolve_bogoliubov)(dense, gam)
+    return lambda times: evolve(np.reshape(times, (-1,) + (1,) * gam.ndim))
 
 
 def apply_propagator_torus(field: Field, params: HarmonicParameters, t: float) -> Field:
@@ -780,7 +791,7 @@ def apply_propagator_torus(field: Field, params: HarmonicParameters, t: float) -
         raise GeometryMismatchError("field and parameters disagree on dimension")
     _check_time(t)
     flow = _torus_flow(field.to_dense(), params, _torus_gamma(params, geometry))
-    return Field.from_dense(geometry, flow(t))
+    return Field.from_dense(geometry, flow((t,))[0])
 
 
 def _assemble_kernel_box(kernel: Kernel) -> np.ndarray:

@@ -317,16 +317,22 @@ def _convolution_value(profile: DecayProfile, window: int) -> tuple[float, Site]
     products = np.outer(table[: 2 * window + 1], table).ravel()
     rows = np.abs(pts).sum(axis=1) * width
     columns = [np.ascontiguousarray(pts[:, j]) for j in range(d)]
-    best = -math.inf
-    best_sep: Site = (0,) * d
     # Lattice symmetries (sign flips, axis permutations) leave the
     # convolution sum invariant, so separations with sorted nonnegative
     # coordinates cover every case.
     seps = ball_sites(d, window)
     seps = seps[(seps >= 0).all(axis=1) & (seps[:, :-1] >= seps[:, 1:]).all(axis=1)]
-    for s in seps.tolist():
-        cells = rows + sum(np.abs(column - c) for column, c in zip(columns, s))
-        ratio = _counted_sum(np.bincount(cells, minlength=products.size), products) / table[sum(s)]
+    if d == 1:
+        # On a chain a cell holds at most two sites, so an fsum per separation over the
+        # gathered products beats binning them; both sums are exact.
+        sums = map(math.fsum, products[rows + np.abs(columns[0] - seps)].tolist())
+    else:
+        bins = (rows + sum(np.abs(col - c) for col, c in zip(columns, s)) for s in seps.tolist())
+        sums = (_counted_sum(np.bincount(b, minlength=products.size), products) for b in bins)
+    best = -math.inf
+    best_sep: Site = (0,) * d
+    for s, total in zip(seps.tolist(), sums):
+        ratio = total / table[sum(s)]
         if ratio > best:
             best = ratio
             best_sep = tuple(s)

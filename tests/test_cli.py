@@ -7,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lrlattice
 from lrlattice import (
@@ -726,3 +729,133 @@ class TestVersion:
             line for line in pyproject.read_text().splitlines() if line.startswith("version = ")
         ]
         assert lines == [f'version = "{lrlattice.__version__}"']
+
+
+# ---------------------------------------------------------------------------
+# The report writer against the recursive one it replaced, kept here as the oracle.
+
+
+def _oracle_json_value(obj, indent):
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return f"{obj:.16e}"
+        return json.dumps(str(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{_oracle_json_value(v, indent + 2)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k))}: {_oracle_json_value(v, indent + 2)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _oracle_csv_report(header, rows):
+    def cell(v):
+        if isinstance(v, np.generic):
+            v = v.item()
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, int):
+            return str(v)
+        if isinstance(v, float):
+            return f"{v:.16e}"
+        return str(v)
+
+    lines = [",".join(header)]
+    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _as_records(obj):
+    """The body the recursive writer took: each table as a list of one dict per row."""
+    if isinstance(obj, cli._Rows):
+        return [{k: _as_records(v) for k, v in zip(obj.header, row)} for row in obj.rows]
+    if isinstance(obj, dict):
+        return {k: _as_records(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_as_records(v) for v in obj)
+    return obj
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf]
+)
+SCALARS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.text(max_size=4),
+)
+# Column kinds: each template code, and cells that take the scalar rule.
+COLUMNS = {
+    "int": st.integers(-(2**70), 2**70),
+    "finite": st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0]),
+    "float64": st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    "float": FLOATS,
+    "mixed": SCALARS | st.lists(SCALARS, max_size=2),
+}
+KEYS = st.text(alphabet=st.sampled_from('ab%"\\é∂\n,'), max_size=3)
+
+
+@st.composite
+def tables(draw):
+    header = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
+    kinds = [draw(st.sampled_from(sorted(COLUMNS))) for _ in header]
+    count = draw(st.integers(0, 5))
+    columns = [draw(st.lists(COLUMNS[k], min_size=count, max_size=count)) for k in kinds]
+    return header, list(zip(*columns)) if columns else []
+
+
+BODIES = st.dictionaries(
+    KEYS,
+    st.recursive(
+        SCALARS | tables().map(lambda table: cli._Rows(*table)),
+        lambda children: st.lists(children, max_size=3) | st.dictionaries(KEYS, children, max_size=3),
+        max_leaves=12,
+    ),
+    max_size=4,
+)
+oracle_examples = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestWriterOracle:
+    @oracle_examples
+    @given(BODIES)
+    def test_json_matches_the_recursive_writer(self, body):
+        assert cli.json_report(body) == _oracle_json_value(_as_records(body), 0) + "\n"
+
+    @oracle_examples
+    @given(tables())
+    def test_csv_matches_the_cell_rule(self, table):
+        header, rows = table
+        assert cli.csv_report(header, rows) == _oracle_csv_report(header, rows)
+
+    @pytest.mark.parametrize("command", ["kernel", "cone", "bounds", "state", "converge"])
+    def test_default_reports_match_in_both_formats(self, command):
+        scenario = cli.parse_scenario(command, {}, {})
+        _, header, rows, body = cli.RUNNERS[command](scenario)
+        assert cli.csv_report(header, rows) == _oracle_csv_report(header, rows)
+        report = {"config": cli._echo_config(scenario), **body}
+        assert cli.json_report(report) == _oracle_json_value(_as_records(report), 0) + "\n"

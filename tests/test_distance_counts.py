@@ -115,7 +115,7 @@ def test_convergence_tail_sets_matches_the_site_enumeration(d):
     assert convergence_tail_sets(f, inner, inner, *args) == 0.0
 
 
-@pytest.mark.parametrize("d, windows", [(1, range(2, 13)), (2, range(2, 13)), (3, range(2, 9))])
+@pytest.mark.parametrize("d, windows", [(1, range(2, 41)), (2, range(2, 13)), (3, range(2, 9))])
 @pytest.mark.parametrize("rate", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0])
 def test_convolution_value_matches_the_site_enumeration(d, windows, rate, epsilon):

@@ -25,6 +25,7 @@ from lrlattice import (
     three_point,
     three_point_continuity,
 )
+from lrlattice import weyl
 from lrlattice.harmonic import _propagator_symbols, _torus_gamma
 
 CHAIN = HarmonicParameters(omega=1.0, couplings=(1.0,))
@@ -292,28 +293,29 @@ class TestThreePoint:
             three_point_continuity(state, f, f, f, [1.0])
 
 
-def _reference_propagate(f, params, t):
+def _reference_dense(f, params, t):
     """T_t f composed afresh at each time, as one dense round trip."""
-    moved = apply_propagator_torus(f, params, t)
     dense = f.to_dense()
     gam = _torus_gamma(params, f.geometry)
     if params.is_massless:
         a, b = _propagator_symbols(gam, t)
         out = np.fft.ifftn(a * np.fft.fftn(dense))
         out += np.fft.ifftn(b * np.fft.fftn(np.conj(dense)))
-    else:
-        root = np.sqrt(gam)
-        plus = 1.0 / root + root
-        minus = 1.0 / root - root
+        return out
+    root = np.sqrt(gam)
+    plus = 1.0 / root + root
+    minus = 1.0 / root - root
 
-        def mult(vec, sym):
-            return np.fft.ifftn(sym * np.fft.fftn(vec))
+    def mult(vec, sym):
+        return np.fft.ifftn(sym * np.fft.fftn(vec))
 
-        inner = -0.5j * mult(dense, plus) - 0.5j * mult(np.conj(dense), minus)
-        rotated = mult(inner, np.exp(2j * gam * t))
-        out = 0.5j * mult(rotated, plus) + 0.5j * mult(np.conj(rotated), minus)
-    assert moved.max_abs_diff(Field.from_dense(f.geometry, out)) == 0.0
-    return moved
+    inner = -0.5j * mult(dense, plus) - 0.5j * mult(np.conj(dense), minus)
+    rotated = mult(inner, np.exp(2j * gam * t))
+    return 0.5j * mult(rotated, plus) + 0.5j * mult(np.conj(rotated), minus)
+
+
+def _reference_propagate(f, params, t):
+    return Field.from_dense(f.geometry, _reference_dense(f, params, t))
 
 
 def _reference_three_point(state, g1, f, g2, t, zero_convention):
@@ -339,10 +341,12 @@ def _pair_labels(geo, rng, d):
     return label(0, 1), label(2, 3), label(4, 5)
 
 
-# d = 2 at half-side 40 stays below numpy's 256 KB temporary-elision size,
-# half-side 73 lies above it.
+# d = 2 at half-side 40 stays below numpy's 256 KB temporary-elision size and
+# half-side 73 lies above it; d = 1 at half-side 8192 (16,384 sites) is at it.
 DENSE_CASES = [
     (HarmonicParameters(omega=0.8, couplings=(1.1,)), 20),
+    (HarmonicParameters(omega=0.7, couplings=(0.9,)), 8192),
+    (HarmonicParameters(omega=0.0, couplings=(1.2,)), 8192),
     (HarmonicParameters(omega=0.6, couplings=(0.9, 1.3)), 40),
     (HarmonicParameters(omega=1.2, couplings=(0.7, 0.4)), 73),
     (HarmonicParameters(omega=0.5, couplings=(1.0, 0.5, 0.8)), 6),
@@ -351,6 +355,7 @@ DENSE_CASES = [
     (HarmonicParameters(omega=0.0, couplings=(0.4, 1.0, 0.8)), 5),
 ]
 TIMES = (0.3, 1.05, 2.4)
+NINE_TIMES = tuple(0.9 + 0.025 * i for i in range(9))
 
 
 class TestDenseTimeGrid:
@@ -364,6 +369,31 @@ class TestDenseTimeGrid:
         expected = tuple(_reference_three_point(state, g1, f, g2, t, False) for t in TIMES)
         assert three_point_continuity(state, g1, f, g2, TIMES)[0] == expected
         assert three_point(state, g1, f, g2, TIMES[1]) == expected[1]
+
+    @pytest.mark.parametrize("params, half_side", DENSE_CASES)
+    def test_propagator_matches_the_reference_bit_for_bit(self, params, half_side):
+        geo = LatticeGeometry.torus(params.dimension, half_side=half_side)
+        _, f, _ = _pair_labels(geo, np.random.default_rng(half_side), params.dimension)
+        for t in TIMES:
+            moved = apply_propagator_torus(f, params, t).to_dense()
+            assert moved.tobytes() == _reference_propagate(f, params, t).to_dense().tobytes()
+
+    @pytest.mark.parametrize(
+        "params, half_side",
+        [
+            (HarmonicParameters(omega=0.9, couplings=(0.6,)), 1500),
+            (HarmonicParameters(omega=0.6, couplings=(0.9, 1.3)), 20),
+            (HarmonicParameters(omega=0.0, couplings=(0.8, 1.3)), 20),
+        ],
+    )
+    def test_a_grid_across_chunks_matches_the_field_path(self, params, half_side):
+        geo = LatticeGeometry.torus(params.dimension, half_side=half_side)
+        # Every chunk holds more than one time, and the nine times need more than one chunk.
+        assert 1 < weyl.FLOW_NODES // geo.extent**params.dimension < len(NINE_TIMES)
+        state = QuasiFreeState(params, geo)
+        g1, f, g2 = _pair_labels(geo, np.random.default_rng(half_side), params.dimension)
+        expected = tuple(_reference_three_point(state, g1, f, g2, t, False) for t in NINE_TIMES)
+        assert three_point_continuity(state, g1, f, g2, NINE_TIMES)[0] == expected
 
     @pytest.mark.parametrize("params, half_side", DENSE_CASES)
     def test_evolved_state_matches_the_field_path(self, params, half_side):
