@@ -48,10 +48,10 @@ from .weyl import (
     three_point_continuity,
 )
 from .bounds import (
+    _growth,
     cone_scan,
     derive_constants,
     estimate_velocity,
-    harmonic_bound_rhs,
     spot_check_certificate,
     verify_kernel_bounds,
 )
@@ -508,20 +508,14 @@ def _run_kernel(s: dict):
 
 def _run_cone(s: dict):
     params = _params(s)
-    d, x_max = s["d"], s["x_max"]
-    scan = cone_scan(params, x_max, s["t"], s["theta"], s["tolerance"])
+    d = s["d"]
+    scan = cone_scan(params, s["x_max"], s["t"], s["theta"], s["tolerance"])
     fit = estimate_velocity(scan)
     profile = DecayProfile(d, epsilon=s["epsilon"], rate=s["a"])
     cert = derive_constants(params, s["a"], profile, eta=s["eta"])
 
-    geometry = LatticeGeometry.infinite(d)
-    origin = Field.delta(geometry, (0,) * d)
-    # A delta pair's bound depends on the probe site only through its l1
-    # radius: evaluate it once per (t, shell) and spread it to the sites.
-    shells = [Field.delta(geometry, (r,) + (0,) * (d - 1)) for r in range(x_max + 1)]
-    rhs = np.array(
-        [[harmonic_bound_rhs(origin, g, t, cert, profile) for g in shells] for t in scan.t_grid]
-    )[:, scan.radii]
+    growth = np.array([cert.c_a * _growth(cert.v_a, t) for t in scan.t_grid])
+    rhs = growth[:, None] * profile.value(scan.radii)
     if not rhs.all():
         raise DomainError("the certified bound underflows to 0 inside the scan")
     ratios = scan.values / rhs

@@ -239,13 +239,13 @@ class DecayProfile:
         return self.dimension + self.epsilon
 
     def value(self, r):
+        # Scalars take the array loops too: numpy's 0-d exp and power round differently.
         r = np.asarray(r, dtype=float)
-        if np.any(r < 0):
+        flat = r.reshape(-1)
+        if np.any(flat < 0):
             raise DomainError("distance must be nonnegative")
-        out = np.exp(-self.rate * r) * (1.0 + r) ** (-self.power)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        out = np.exp(-self.rate * flat) * (1.0 + flat) ** (-self.power)
+        return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
 
 class UniformNorm(NamedTuple):
@@ -263,8 +263,8 @@ def _shell_weight_envelope(dimension: int) -> float:
 def uniform_norm(profile: DecayProfile, window: int) -> UniformNorm:
     """Partial sum of sup_x sum_y F_a(d(x, y)) over Z^d with a rigorous tail.
 
-    The value is the exact lattice sum over the l1 ball of the given
-    radius (via per-shell counts); the tail bound dominates everything
+    The value is the exactly rounded lattice sum over the l1 ball of the
+    given radius (via per-shell counts); the tail bound dominates everything
     outside the ball by an integral comparison, so
 
         value <= ||F_a|| <= value + tail_bound.
@@ -272,9 +272,12 @@ def uniform_norm(profile: DecayProfile, window: int) -> UniformNorm:
     if not _is_int(window) or window < 0:
         raise DomainError(f"window must be a nonnegative integer, got {window!r}")
     d, a = profile.dimension, profile.rate
-    value = math.fsum(
-        shell_count(d, r) * profile.value(r) for r in range(window + 1)
-    )
+    if shell_count(d, window) >= 2**52:
+        raise DomainError(f"a shell of radius {window} in Z^{d} holds too many sites to sum exactly")
+    chain = counts = np.where(np.arange(window + 1), 2, 1)  # Z's sites per l1 distance
+    for _ in range(d - 1):
+        counts = np.convolve(counts, chain)[: window + 1]
+    value = _counted_sum(counts, profile.value(np.arange(window + 1.0)))
     env = _shell_weight_envelope(d)
     eps = profile.epsilon
     w1 = 1.0 + window

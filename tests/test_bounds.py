@@ -165,7 +165,39 @@ class TestDecayCertificate:
         assert list(report) == ["a", "mu", "velocity_bound", "prefactor", "c_a", "v_a", "a0", "a1"]
 
 
+def _pair_sum_loop(f, g, profile):
+    """pair_sum as one scalar term per pair of support sites."""
+    return math.fsum(
+        abs(fx) * abs(gy) * profile.value(f.geometry.distance(x, y))
+        for x, fx in f.items_sorted()
+        for y, gy in g.items_sorted()
+    )
+
+
 class TestPairSumAndRhs:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("half_side", [None, 3], ids=["infinite", "torus"])
+    def test_pair_sum_matches_the_per_pair_loop(self, d, half_side):
+        geometry = LatticeGeometry(d, half_side)
+        profile = DecayProfile(d, epsilon=0.3, rate=1.1)
+        rng = np.random.default_rng(d)
+        # Sites L and -L + 1 are neighbours across a torus seam.
+        sites = [(3,) * d, (-2,) * d, (3,) + (-2,) * (d - 1), (0,) * d, (1,) + (2,) * (d - 1)]
+        for _ in range(4):
+            picks = [sites[k] for k in rng.choice(len(sites), size=3, replace=False)]
+            f = Field(geometry, {x: complex(*rng.normal(size=2)) for x in picks[:2]})
+            g = Field(geometry, {x: complex(*rng.normal(size=2)) for x in picks[1:]})
+            assert pair_sum(f, g, profile) == _pair_sum_loop(f, g, profile)
+            assert pair_sum(g, f, profile) == _pair_sum_loop(g, f, profile)
+        nil = Field.zero(geometry)
+        assert pair_sum(nil, f, profile) == 0.0 == pair_sum(f, nil, profile)
+
+    def test_torus_pair_sum_takes_the_quotient_metric(self):
+        geo = LatticeGeometry.torus(1, half_side=3)
+        profile = DecayProfile(1, epsilon=1.0)
+        f, g = Field.delta(geo, (3,)), Field.delta(geo, (-2,))
+        assert pair_sum(f, g, profile) == profile.value(1)
+
     def test_pair_sum_hand_value(self):
         geo = LatticeGeometry.infinite(1)
         profile = DecayProfile(1, epsilon=1.0)

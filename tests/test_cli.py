@@ -577,6 +577,9 @@ class TestConeWorstPoint:
         [
             (1, 0.0, 16, [1.0, 2.0, 3.0, 4.0, 5.0]),
             (1, 0.7, 16, [1.0, 2.0, 3.0, 4.0, 5.0]),
+            # Radii 30-32, where numpy's 0-d and array loops once rounded F_a apart.
+            (1, 0.0, 32, [1.0, 2.0, 3.0, 4.0, 5.0]),
+            (1, 0.7, 32, [1.0, 2.0, 3.0, 4.0, 5.0]),
             (2, 0.0, 12, [1.0, 1.5, 2.0, 2.5, 3.0]),
             (2, 0.7, 12, [1.0, 1.5, 2.0, 2.5, 3.0]),
         ],

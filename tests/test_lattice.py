@@ -209,13 +209,20 @@ class TestDecayProfile:
         expected = math.exp(-1.5 * r) * (1.0 + r) ** (-2.5)
         assert profile.value(r) == pytest.approx(expected, rel=1e-15)
 
-    def test_vectorized_matches_scalar(self):
-        profile = DecayProfile(dimension=1, epsilon=1.0, rate=0.7)
-        rs = np.arange(6, dtype=float)
-        vec = profile.value(rs)
-        assert vec.shape == (6,)
-        for r, v in zip(rs, vec):
-            assert v == profile.value(float(r))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rate, epsilon", [(0.0, 1.0), (1.0, 1.0), (0.5, 0.3), (1.5, 2.0)])
+    def test_vectorized_matches_scalar(self, d, rate, epsilon):
+        # numpy's 0-d exp and power once rounded 13, 4 and 6 of these radii (d = 1, 2, 3;
+        # a = eps = 1) an ulp or two away from the array loops.
+        profile = DecayProfile(dimension=d, epsilon=epsilon, rate=rate)
+        vec = profile.value(np.arange(200.0))
+        assert vec.shape == (200,)
+        for r in range(200):
+            got = profile.value(float(r))
+            assert type(got) is float and got == vec[r], r
+        grid = profile.value(np.arange(200.0).reshape(8, 25))
+        assert grid.shape == (8, 25)
+        assert np.array_equal(grid.ravel(), vec)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -253,6 +260,17 @@ class TestUniformNorm:
         tails = [r.tail_bound for r in results]
         assert values == sorted(values)
         assert tails == sorted(tails, reverse=True)
+
+    @pytest.mark.parametrize("d, rate", [(1, 0.0), (2, 0.5), (3, 1.0)])
+    def test_value_is_the_exactly_rounded_ball_sum(self, d, rate):
+        profile = DecayProfile(dimension=d, epsilon=0.3, rate=rate)
+        radii = np.abs(ball_sites(d, 9)).sum(axis=1)
+        assert uniform_norm(profile, 9).value == math.fsum(profile.value(radii).tolist())
+
+    def test_a_shell_too_large_to_count_exactly_is_refused(self):
+        assert shell_count(20, 200) >= 2**52
+        with pytest.raises(DomainError, match="too many sites"):
+            uniform_norm(DecayProfile(20), 200)
 
     def test_value_brackets_the_limit(self):
         # the window-64 value sits inside every smaller window's bracket
