@@ -27,12 +27,12 @@ from .harmonic import (
     QuadratureConvergenceError,
     QuadratureSpec,
     _check_time,
-    apply_propagator_convolution,
-    compute_kernels,
+    _exact_inner,
+    _kernel_batch,
+    _propagated_at,
     envelope_prefactor,
     envelope_speed,
     kernel_envelope,
-    symplectic_form,
 )
 from .lattice import (
     DecayProfile,
@@ -122,13 +122,11 @@ def verify_kernel_bounds(
     quad = quad or QuadratureSpec()
     max_ratios = [-math.inf] * len(mus)
     worst: list[dict] = [{} for _ in mus]
-    for t in t_grid:
-        try:
-            kernels = compute_kernels(params, t, window, quad)
-        except QuadratureConvergenceError as err:
-            if err.best is None:
-                raise
-            kernels = err.kernels
+    for t, kernels in zip(t_grid, _kernel_batch(params, [(t, window, quad) for t in t_grid])):
+        if isinstance(kernels, Exception):
+            if not isinstance(kernels, QuadratureConvergenceError) or kernels.best is None:
+                raise kernels
+            kernels = kernels.kernels
         for k, mu in enumerate(mus):
             for m in (-1, 0, 1):
                 kernel = kernels[m]
@@ -270,7 +268,8 @@ def cone_scan(
     One propagator application per time slice suffices: with f = delta_0
     the two probe pairings read off the real and (negated) imaginary part
     of the evolved label at the probe site, and the commutator norm is
-    |1 - exp(i sigma)| for each.
+    |1 - exp(i sigma)| for each.  The slices' kernels come from one batched
+    quadrature, and each slice reads the evolved label at the probes only.
     """
     if x_max < 1:
         raise DomainError("x_max must be at least 1")
@@ -280,23 +279,20 @@ def cone_scan(
     if not t_grid:
         raise DomainError("the time grid must hold at least one time")
     d = params.dimension
-    geometry = LatticeGeometry.infinite(d)
     sites = ball_sites(d, x_max)
-
-    def one_slice(t: float) -> np.ndarray:
-        moved = apply_propagator_convolution(
-            Field.delta(geometry, (0,) * d), params, t, tolerance=tolerance
-        )
-        val = moved._values_at(sites)
+    delta = Field.delta(LatticeGeometry.infinite(d), (0,) * d)
+    requests = [(delta, t, tolerance, sites) for t in t_grid]
+    rows = []
+    for _, val in _propagated_at(params, requests):
         against_real = 1.0 - np.exp(-1.0j * val.imag)
         against_imag = 1.0 - np.exp(1.0j * val.real)
         # np.hypot rounds like the scalar abs(); np.abs on complex arrays does not.
-        return np.maximum(
-            np.hypot(against_real.real, against_real.imag),
-            np.hypot(against_imag.real, against_imag.imag),
+        rows.append(
+            np.maximum(
+                np.hypot(against_real.real, against_real.imag),
+                np.hypot(against_imag.real, against_imag.imag),
+            )
         )
-
-    rows = [one_slice(t) for t in t_grid]
     return ConeScan(
         sites=sites,
         t_grid=t_grid,
@@ -349,31 +345,34 @@ def spot_check_certificate(
     """Largest ratio |sigma(T_t f, g)| / certified RHS over random triples.
 
     Labels are complex fields on small windows of the infinite lattice;
-    values at or below 1 confirm the certificate on the sample.
+    values at or below 1 confirm the certificate on the sample.  Every
+    trial's t, f and g are drawn first; one batched propagation then gives
+    T_t f at the sites of g, which is all that sigma(T_t f, g) reads.
     """
     if not _is_int(trials) or trials < 1:
         raise DomainError(f"trials must be an integer of at least 1, got {trials!r}")
-    if not math.isfinite(t_max):
-        raise DomainError(f"t_max must be finite, got {t_max!r}")
+    if not (t_max >= 0 and math.isfinite(2.0 * t_max)):
+        raise DomainError(f"t_max must be nonnegative with 2 t_max finite, got {t_max!r}")
     rng = np.random.default_rng(seed)
-    d = params.dimension
-    geometry = LatticeGeometry.infinite(d)
-    sites = ball_sites(d, support_radius)
-    worst = 0.0
+    geometry = LatticeGeometry.infinite(params.dimension)
+    sites = ball_sites(params.dimension, support_radius)
+    draws = []
     for _ in range(trials):
         t = float(rng.uniform(-t_max, t_max))
         f = _random_field(rng, geometry, sites)
-        g = _random_field(rng, geometry, sites)
-        moved = apply_propagator_convolution(f, params, t)
-        lhs = abs(symplectic_form(moved, g))
+        draws.append((t, f, _random_field(rng, geometry, sites)))
+    moved = _propagated_at(params, [(f, t, 1e-10, g._sites) for t, f, g in draws])
+    worst = 0.0
+    for (t, f, g), (_, at_g) in zip(draws, moved):
+        lhs = abs(_exact_inner(at_g, g._values).imag)
         rhs = harmonic_bound_rhs(f, g, t, cert, profile)
         worst = max(worst, lhs / rhs)
     return worst
 
 
 def _random_field(rng, geometry, sites) -> Field:
+    # Up to three distinct sites, each with a complex(normal, normal) value.
     picks = rng.choice(len(sites), size=min(3, len(sites)), replace=False)
-    entries = {}
-    for idx in picks:
-        entries[tuple(sites[int(idx)].tolist())] = complex(rng.normal(), rng.normal())
-    return Field(geometry, entries)
+    values = rng.normal(size=2 * len(picks)).view(complex)
+    order = np.argsort(picks)
+    return Field._from_arrays(geometry, sites[picks[order]], values[order])

@@ -37,7 +37,7 @@ from .harmonic import (
     HarmonicParameters,
     QuadratureConvergenceError,
     QuadratureSpec,
-    compute_kernels,
+    _kernel_batch,
 )
 from .weyl import (
     QuasiFreeState,
@@ -268,7 +268,13 @@ SCHEMAS = {
 }
 
 # Smallest meaningful value of a tolerance or count.
-_LEAST = {"invariance_tol": 0.0, "rel_tol": 0.0, "spot_trials": 0, "continuity_points": 2}
+_LEAST = {
+    "invariance_tol": 0.0,
+    "rel_tol": 0.0,
+    "spot_trials": 0,
+    "spot_t_max": 0.0,
+    "continuity_points": 2,
+}
 
 _COMMON = {
     "command": ("opt_str", None),
@@ -409,6 +415,9 @@ def parse_scenario(command: str, file_config: dict, overrides: dict) -> dict:
         value = merged.get(key)
         if value is not None and value < least:
             errors.append(f"{key}: must be at least {least}, got {value!r}")
+    # Spot-check times are drawn from [-spot_t_max, spot_t_max], whose width must be finite.
+    if not math.isfinite(2.0 * (merged.get("spot_t_max") or 0.0)):
+        errors.append(f"spot_t_max: 2 spot_t_max must be finite, got {merged['spot_t_max']!r}")
     for key in ("cutoffs", "boxes"):
         value = merged.get(key)
         if value is not None and (value[0] < 1 or any(b <= a for a, b in zip(value, value[1:]))):
@@ -483,17 +492,16 @@ def _run_kernel(s: dict):
     )
     d = s["d"]
     ms = sorted(set(s["m"]))
-    by_t, failed = [], None
-    for t in s["t"]:
-        try:
-            by_t.append(compute_kernels(params, t, s["window"], quad, ms))
-        except QuadratureConvergenceError as err:
+    by_t = list(_kernel_batch(params, [(t, s["window"], quad) for t in s["t"]], ms))
+    failed = None
+    for err in by_t:
+        if isinstance(err, QuadratureConvergenceError) and err.best is not None:
             # Each error names the smallest unconverged m at its t; report
             # the first unconverged (m, t) in the rows' m-major order.
-            if err.best is None:
-                raise
             if failed is None or err.best.m < failed.best.m:
                 failed = err
+        elif isinstance(err, Exception):
+            raise err
     if failed is not None:
         raise failed
     rows = [

@@ -18,6 +18,7 @@ exponential envelopes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -70,6 +71,12 @@ MAX_REFINEMENTS = 6
 # Quadrature nodes sampled at once: a larger grid is walked in slabs of
 # axis-0 indices, each holding about this many nodes (at least one row).
 SLAB_NODES = 2**16
+
+# Grid nodes in one stack of requests sampled together, and window-box sites
+# in one run of requests whose kernels are held at once.  Stacking saves
+# per-call overhead, which only grids of a few thousand nodes notice; larger
+# stacks and runs would only raise a batch's peak memory.
+_STACK_NODES = 2**13
 
 
 class SingularModeError(ArithmeticError):
@@ -414,51 +421,57 @@ def _offset_axis(points: int) -> np.ndarray:
 
 
 def _kernel_samples(
-    params: HarmonicParameters, t: float, sites: np.ndarray, points: int, ms: Sequence[int]
+    params: HarmonicParameters, times, sites: np.ndarray, points: int, ms: Sequence[int]
 ) -> dict[int, np.ndarray]:
-    """Midpoint-rule values of the kernels ``ms`` at integer sites, on one grid.
+    """Midpoint-rule values of the kernels ``ms`` at integer sites, on one grid, per time.
 
-    On the offset grid the quadrature sum is a phase-corrected inverse DFT,
-    so all sites in the box (-points/2, points/2)^d come out of one inverse
-    transform per kernel, taken axis by axis from the last, as ``ifftn``
-    does.  The grid is walked in slabs of axis-0 indices of about
-    :data:`SLAB_NODES` nodes (a chain is one slab).  In each slab gamma and
-    the phase exp(-2 i gamma t) are built once: m = 1 goes first, then
-    m = -1 (which turns gamma into 1 / gamma), and m = 0 transforms the
-    phase itself.  After each of axes d-1, ..., 1 only the residues -R..R
-    (mod points) are kept, R the largest |x_j| among the sites, and axis 0
-    is transformed once every slab is in.  Each line meets the same input
-    in the same axis order, so every sample equals the full ``ifftn``'s bit
-    for bit.  For m = -1 only the imaginary part is kept, which is the
-    member that stays bounded at a massless conical point.
+    Each kernel comes back as a (len(times), len(sites)) array.  On the
+    offset grid the quadrature sum is a phase-corrected inverse DFT, so all
+    sites in the box (-points/2, points/2)^d come out of one inverse
+    transform per kernel and time, taken axis by axis from the last, as
+    ``ifftn`` does.  The times are stacked on a leading axis, and the grid
+    is walked in slabs of axis-0 indices of about :data:`SLAB_NODES` nodes
+    over the stack (a chain is one slab).  In each slab gamma and the
+    phases exp(-2 i gamma t) are built once: m = 1 goes first, then m = -1
+    (which turns gamma into 1 / gamma), and m = 0 transforms the phase
+    itself.  After each of axes d-1, ..., 1 only the residues -R..R (mod
+    points) are kept, R the largest |x_j| among the sites, and axis 0 is
+    transformed once every slab is in.  Each line meets the same input in
+    the same axis order, so every sample equals the full ``ifftn`` of its
+    time's grid bit for bit.  For m = -1 only the imaginary part is kept,
+    which is the member that stays bounded at a massless conical point.
     """
     d = params.dimension
     axis = _offset_axis(points)
+    times = np.reshape(np.asarray(times, dtype=float), (-1,) + (1,) * d)
     radius = int(np.abs(sites[:, 1:]).max(initial=0))
     kept = np.arange(-radius, radius + 1)
-    index = (sites[:, 0] % points, *(sites[:, j] + radius for j in range(1, d)))
+    index = (slice(None), sites[:, 0] % points, *(sites[:, j] + radius for j in range(1, d)))
     base = np.exp(1j * (np.pi / points - np.pi))
     shift = np.ones(len(sites), dtype=complex)
     for j in range(d):
         shift = shift * base ** sites[:, j]
 
     def finish(grid, m):
-        vals = np.fft.ifft(grid, axis=0, out=grid)[index] * shift
+        vals = np.fft.ifft(grid, axis=1, out=grid)[index] * shift
         return np.real(vals) if m == 0 else np.imag(vals)
 
     order = [m for m in (1, -1, 0) if m in ms]
     # A chain has nothing to prune, so it is one slab.  With one slab each
     # kernel finishes at once; otherwise its pruned slabs gather in a
-    # (points, K, ..., K) buffer, K = 2R + 1.
-    slabs = range(0, points, max(SLAB_NODES // points ** (d - 1), 1) if d > 1 else points)
-    shape = (points,) + (len(kept),) * (d - 1)
+    # (T, points, K, ..., K) buffer, K = 2R + 1.
+    stack = len(times) * points ** (d - 1)
+    slabs = range(0, points, max(SLAB_NODES // stack, 1) if d > 1 else points)
+    shape = (len(times), points) + (len(kept),) * (d - 1)
     pruned = {} if len(slabs) == 1 else {m: np.empty(shape, dtype=complex) for m in order}
     out = {}
     for lo in slabs:
         rows = slice(lo, lo + slabs.step)
         gam = _gamma_grid(params, [axis[rows]] + [axis] * (d - 1))
-        phase = np.multiply(-2j, gam)
-        np.multiply(phase, t, out=phase)
+        # One (T, slab) buffer, as a single time's slab has one.
+        phase = np.empty((len(times),) + gam.shape, dtype=complex)
+        np.multiply(-2j, gam, out=phase)
+        np.multiply(phase, times, out=phase)
         np.exp(phase, out=phase)
         # The last kernel may overwrite the phase; earlier ones need a copy.
         work = np.empty_like(phase) if len(order) > 1 else phase
@@ -470,9 +483,9 @@ def _kernel_samples(
                     np.divide(1.0, gam, out=gam)
                 grid = phase if m == order[-1] else work
                 np.multiply(gam, phase, out=grid)
-            for a in range(d - 1, 0, -1):
+            for a in range(d, 1, -1):
                 np.fft.ifft(grid, axis=a, out=grid)
-                dest = pruned[m][rows] if pruned and a == 1 else None
+                dest = pruned[m][:, rows] if pruned and a == 2 else None
                 grid = np.take(grid, kept, axis=a, out=dest, mode="wrap")
             if not pruned:
                 out[m] = finish(grid, m)
@@ -481,6 +494,122 @@ def _kernel_samples(
     for m, grid in pruned.items():
         out[m] = finish(grid, m)
     return out
+
+
+class _Ladder:
+    """One (t, window_radius, quad) request's grid doublings, each kernel stopping on its own.
+
+    Construction raises what ``compute_kernels`` raises before sampling.
+    """
+
+    def __init__(self, params, t, window_radius, quad, ms):
+        _check_time(t)
+        if not ms:
+            raise DomainError("compute_kernels needs at least one kernel index")
+        if any(m not in (-1, 0, 1) for m in ms):
+            raise DomainError("kernel index m must be -1, 0, or 1")
+        if not _is_int(window_radius) or window_radius < 0:
+            raise DomainError(f"window radius must be a nonnegative integer, got {window_radius!r}")
+        quad = quad or QuadratureSpec()
+        # Keep the full tensor grid under ~16M nodes, which bounds the time a
+        # quadrature can take (memory stays at a slab); the cap is generous
+        # for d <= 2 and modest for d = 3.
+        max_points = max(int(round((2**24) ** (1.0 / params.dimension))), 16)
+        points = quad.points_per_axis
+        if points % 2:
+            points += 1
+        while points < 2 * (window_radius + 1):
+            points *= 2
+        # Without one refinement there is no error estimate, so fail before
+        # sampling.
+        if 2 * points > max_points:
+            raise QuadratureConvergenceError(
+                f"kernel window {window_radius} needs a starting grid of {points} points "
+                f"per axis, and no refinement fits under the cap of {max_points}"
+            )
+        self.sites = ball_sites(params.dimension, window_radius)
+        self.t, self.window_radius, self.ms = t, window_radius, ms
+        self.tol = quad.refinement_tolerance
+        self.points, self.max_points, self.refinements = points, max_points, 0
+        # The kernels still refining; the first grid samples them all.
+        self.active = [m for m in (1, -1, 0) if m in ms]
+        self.samples, self.stopped, self.achieved = {}, {}, dict.fromkeys(self.active, math.inf)
+
+    def take(self, samples: dict[int, np.ndarray]) -> bool:
+        """Record this grid's samples of the active kernels; True if a finer grid follows."""
+        for m, cur in samples.items():
+            if m in self.samples:
+                self.achieved[m] = float(np.max(np.abs(cur - self.samples[m])))
+            self.samples[m], self.stopped[m] = cur, self.points
+        self.active = [m for m in self.active if not self.achieved[m] <= self.tol]
+        more = self.refinements < MAX_REFINEMENTS and 2 * self.points <= self.max_points
+        if self.active and more:
+            self.points *= 2
+            self.refinements += 1
+            return True
+        return False
+
+    def outcome(self):
+        kernels = {
+            m: Kernel(
+                m, float(self.t), self.window_radius, self.sites, self.samples[m],
+                points_per_axis=self.stopped[m], est_quadrature_error=self.achieved[m],
+            )
+            for m in self.ms
+        }
+        for kernel in kernels.values():
+            if not kernel.est_quadrature_error <= self.tol:
+                return QuadratureConvergenceError(
+                    f"kernel quadrature reached {kernel.est_quadrature_error:.3e} at "
+                    f"{kernel.points_per_axis} points per axis, tolerance is {self.tol:.3e}",
+                    best=kernel,
+                    kernels=kernels,
+                )
+        return kernels
+
+
+def _kernel_batch(params: HarmonicParameters, requests, ms: Sequence[int] = (-1, 0, 1)):
+    """Yield the outcome of ``compute_kernels`` for each (t, window_radius, quad) request, in order.
+
+    Every request refines as it would alone: its own starting grid, cap,
+    :data:`MAX_REFINEMENTS` and per-kernel stopping rule.  Requests go in
+    runs whose windows' boxes hold about ``_STACK_NODES`` sites together,
+    so the kernels held at once do not grow with the batch.  At each grid
+    level the requests of a run still refining there go through one
+    :func:`_kernel_samples` pass on the widest window's sites (a smaller
+    window's ``ball_sites`` are a prefix of them), in stacks of at most
+    ``_STACK_NODES`` grid nodes; a larger grid goes alone.  An outcome is
+    the kernels dict, or the error that the request raises alone (with
+    ``best`` and ``kernels``), yielded rather than raised.
+    """
+    d = params.dimension
+    requests = list(requests)
+    boxes = [
+        min((2 * w + 1) ** d, _STACK_NODES) if _is_int(w) and w >= 0 else 0 for _, w, _ in requests
+    ]
+    runs = (total // _STACK_NODES for total in itertools.accumulate(boxes))
+    for _, run in itertools.groupby(zip(runs, requests), key=lambda pair: pair[0]):
+        outcomes = []
+        for _, (t, window_radius, quad) in run:
+            try:
+                outcomes.append(_Ladder(params, t, window_radius, quad, ms))
+            except (DomainError, QuadratureConvergenceError) as err:
+                outcomes.append(err)
+        climbing = [ladder for ladder in outcomes if isinstance(ladder, _Ladder)]
+        while climbing:
+            points = min(ladder.points for ladder in climbing)
+            level = [ladder for ladder in climbing if ladder.points == points]
+            size = max(_STACK_NODES // points**d, 1)
+            for lo in range(0, len(level), size):
+                stack = level[lo : lo + size]
+                sites = max((ladder.sites for ladder in stack), key=len)
+                wanted = {m for ladder in stack for m in ladder.active}
+                got = _kernel_samples(params, [ladder.t for ladder in stack], sites, points, wanted)
+                for row, ladder in enumerate(stack):
+                    n = len(ladder.sites)
+                    if not ladder.take({m: got[m][row, :n] for m in ladder.active}):
+                        climbing.remove(ladder)
+        yield from (out.outcome() if isinstance(out, _Ladder) else out for out in outcomes)
 
 
 def compute_kernels(
@@ -501,67 +630,10 @@ def compute_kernels(
     :class:`QuadratureConvergenceError` names the first such one in ``ms``
     order and carries every kernel's best grid in ``kernels``.
     """
-    _check_time(t)
-    if not ms:
-        raise DomainError("compute_kernels needs at least one kernel index")
-    if any(m not in (-1, 0, 1) for m in ms):
-        raise DomainError("kernel index m must be -1, 0, or 1")
-    quad = quad or QuadratureSpec()
-    d = params.dimension
-    sites = ball_sites(d, window_radius)
-
-    # Keep the full tensor grid under ~16M nodes, which bounds the time a
-    # quadrature can take (memory stays at a slab); the cap is generous for
-    # d <= 2 and modest for d = 3.
-    max_points = max(int(round((2**24) ** (1.0 / d))), 16)
-
-    points = quad.points_per_axis
-    if points % 2:
-        points += 1
-    while points < 2 * (window_radius + 1):
-        points *= 2
-    # Without one refinement there is no error estimate, so fail before
-    # sampling.
-    if 2 * points > max_points:
-        raise QuadratureConvergenceError(
-            f"kernel window {window_radius} needs a starting grid of {points} points "
-            f"per axis, and no refinement fits under the cap of {max_points}"
-        )
-
-    tol = quad.refinement_tolerance
-    samples = _kernel_samples(params, t, sites, points, ms)
-    achieved = dict.fromkeys(samples, math.inf)
-    stopped = dict.fromkeys(samples, points)
-    active = list(samples)
-    refinements = 0
-    while active and refinements < MAX_REFINEMENTS and 2 * points <= max_points:
-        points *= 2
-        refinements += 1
-        for m, cur in _kernel_samples(params, t, sites, points, active).items():
-            achieved[m] = float(np.max(np.abs(cur - samples[m])))
-            samples[m], stopped[m] = cur, points
-        active = [m for m in active if not achieved[m] <= tol]
-    kernels = {
-        m: Kernel(
-            m=m,
-            t=float(t),
-            window_radius=window_radius,
-            sites=sites,
-            samples=samples[m],
-            points_per_axis=stopped[m],
-            est_quadrature_error=achieved[m],
-        )
-        for m in ms
-    }
-    for m, kernel in kernels.items():
-        if not kernel.est_quadrature_error <= tol:
-            raise QuadratureConvergenceError(
-                f"kernel quadrature reached {kernel.est_quadrature_error:.3e} at "
-                f"{kernel.points_per_axis} points per axis, tolerance is {tol:.3e}",
-                best=kernel,
-                kernels=kernels,
-            )
-    return kernels
+    (outcome,) = _kernel_batch(params, [(t, window_radius, quad)], ms)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def compute_kernel(
@@ -794,11 +866,76 @@ def apply_propagator_torus(field: Field, params: HarmonicParameters, t: float) -
     return Field.from_dense(geometry, flow((t,))[0])
 
 
-def _assemble_kernel_box(kernel: Kernel) -> np.ndarray:
-    radius = kernel.window_radius
-    box = np.zeros((2 * radius + 1,) * kernel.sites.shape[1], dtype=float)
-    box[tuple((kernel.sites + radius).T)] = kernel.samples
-    return box
+def _ball_rows(radius: int, sites: np.ndarray) -> np.ndarray:
+    """Row of each site in ``ball_sites(d, radius)``; every site must lie in the ball."""
+    ball = ball_sites(sites.shape[1], radius)
+    box = np.empty((2 * radius + 1,) * sites.shape[1], dtype=np.intp)
+    box[tuple((ball + radius).T)] = np.arange(len(ball))
+    return box[tuple((sites + radius).T)]
+
+
+def _propagated_at(params: HarmonicParameters, requests):
+    """Values of T_t f for a batch of (field, t, tolerance, sites) requests, in order.
+
+    Yields one (sites, values) pair per request; ``sites`` None stands for
+    the certified output ball.  The three kernels, all from one
+    :func:`_kernel_batch`, are combined as
+
+        T_t f = f * (H0 - (i/2)(Hm + Hp)) + conj(f) * ((i/2)(Hp - Hm)),
+
+    truncated to an l1 ball whose radius is certified against the
+    exponential envelopes so the total error stays below ``tolerance`` in
+    l1 norm.  Every window is certified on the first ``next``; a failed
+    request raises its error when its turn comes.
+    """
+    plans, failed = [], None
+    for field, t, tolerance, sites in requests:
+        try:
+            l1 = field.norm_l1()
+            window = certified_window(params, t, tolerance / 2.0, l1)
+        except (DomainError, WindowCertificationError) as err:
+            failed = err
+            break
+        spread = field.support_radius()
+        ker_tol = min(QuadratureSpec.refinement_tolerance, tolerance / (6.0 * max(l1, 1.0)))
+        quad = QuadratureSpec(refinement_tolerance=ker_tol)
+        plans.append((field, t, window + 2 * spread, quad, window + spread, sites))
+    outcomes = _kernel_batch(params, [(t, radius, quad) for _, t, radius, quad, *_ in plans])
+    for field, _, ker_radius, _, out_radius, sites in plans:
+        # The kernels go straight into the sum, so none outlives its request.
+        yield _convolved(field, next(outcomes), ker_radius, out_radius, sites)
+    if failed is not None:
+        raise failed
+
+
+def _convolved(field: Field, kernels, ker_radius: int, out_radius: int, sites):
+    """(sites, T_t f there) from one request's kernels, or raise its quadrature error.
+
+    Off the output ball a value is 0; on it, the label's terms are summed
+    in its site order, f's before conj(f)'s, as a sum over the whole ball
+    would, and the value is the one the evolved ``Field`` holds.
+    """
+    if isinstance(kernels, Exception):
+        raise kernels
+    d = field.geometry.dimension
+    if sites is None:
+        sites = ball_sites(d, out_radius)
+    inside = np.abs(sites).sum(axis=1) <= out_radius
+    # Every offset x - s lies within the kernel window, since |s| <= spread.
+    offsets = sites[inside] - field._sites[:, None]
+    rows = _ball_rows(ker_radius, offsets.reshape(-1, d)).reshape(offsets.shape[:2])
+    h0, hm, hp = (kernels[m].samples[rows] for m in (0, -1, 1))
+    # Symbols as in _propagated_at: the kernels are real and even.
+    terms_a = np.multiply(field._values[:, None], h0 - 0.5j * (hm + hp))
+    terms_b = np.multiply(field._values.conj()[:, None], 0.5j * (hp - hm))
+    acc = np.zeros(offsets.shape[1], dtype=complex)
+    for a, b in zip(terms_a, terms_b):
+        acc += a
+        acc += b
+    # acc starts at +0.0, so no part of it is a negative zero, as in a Field.
+    values = np.zeros(len(sites), dtype=complex)
+    values[inside] = acc
+    return sites, values
 
 
 def apply_propagator_convolution(
@@ -809,13 +946,8 @@ def apply_propagator_convolution(
 ) -> Field:
     """Evolve a finitely supported label on Z^d by certified convolution.
 
-    The three kernels are combined as
-
-        T_t f = f * (H0 - (i/2)(Hm + Hp)) + conj(f) * ((i/2)(Hp - Hm)),
-
-    truncated to an l1 ball whose radius is certified against the
-    exponential envelopes so the total error stays below ``tolerance`` in
-    l1 norm.
+    The result lives on the certified output ball; see :func:`_propagated_at`
+    for the kernels, the window and the order of summation.
     """
     geometry = field.geometry
     if geometry.is_torus:
@@ -824,31 +956,5 @@ def apply_propagator_convolution(
         raise GeometryMismatchError("field and parameters disagree on dimension")
     if field.is_zero():
         return field
-
-    l1 = field.norm_l1()
-    window = certified_window(params, t, tolerance / 2.0, l1)
-
-    spread = field.support_radius()
-    out_radius = window + spread
-    ker_radius = window + 2 * spread
-
-    ker_tol = min(QuadratureSpec.refinement_tolerance, tolerance / (6.0 * max(l1, 1.0)))
-    kernels = compute_kernels(params, t, ker_radius, QuadratureSpec(refinement_tolerance=ker_tol))
-    box0 = _assemble_kernel_box(kernels[0])
-    boxm = _assemble_kernel_box(kernels[-1])
-    boxp = _assemble_kernel_box(kernels[1])
-    # Symbols as in the module docstring: the kernels are real and even.
-    ker_a = box0 - 0.5j * (boxm + boxp)
-    ker_b = 0.5j * (boxp - boxm)
-
-    d = params.dimension
-    out_shape = (2 * out_radius + 1,) * d
-    out = np.zeros(out_shape, dtype=complex)
-    for site, val in field.items_sorted():
-        offset = tuple(ker_radius - out_radius - c for c in site)
-        sl = tuple(slice(o, o + 2 * out_radius + 1) for o in offset)
-        out += val * ker_a[sl]
-        out += val.conjugate() * ker_b[sl]
-
-    sites = ball_sites(d, out_radius)
-    return Field._from_arrays(geometry, sites, out[tuple((sites + out_radius).T)])
+    ((sites, values),) = _propagated_at(params, [(field, t, tolerance, None)])
+    return Field._from_arrays(geometry, sites, values)

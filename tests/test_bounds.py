@@ -17,6 +17,7 @@ from lrlattice import (
     QuadratureConvergenceError,
     QuadratureSpec,
     RATIO_FLOOR,
+    apply_propagator_convolution,
     ball_sites,
     commutator_norm,
     compute_kernels,
@@ -29,8 +30,10 @@ from lrlattice import (
     kernel_envelope,
     pair_sum,
     spot_check_certificate,
+    symplectic_form,
     verify_kernel_bounds,
 )
+from lrlattice import bounds, harmonic
 
 CHAIN = HarmonicParameters(omega=1.0, couplings=(1.0,))
 MASSLESS = HarmonicParameters(omega=0.0, couplings=(1.0,))
@@ -281,6 +284,36 @@ class TestConeScan:
         with pytest.raises(DomainError, match="time grid"):
             cone_scan(MASSLESS, 4, ())
 
+    @pytest.mark.parametrize("tolerance", [1e-10, 1e-5])
+    @pytest.mark.parametrize("omega", [0.0, 0.6])
+    @pytest.mark.parametrize("d, x_max", [(1, 5), (1, 30), (2, 4), (2, 12)])
+    def test_matches_one_evolved_field_per_slice(self, d, x_max, omega, tolerance):
+        # x_max 30 and 12 reach past the certified ball of the early slices
+        params = HarmonicParameters(omega=omega, couplings=(1.0, 0.7)[:d])
+        t_grid = (0.2, 1.0, 2.5) if d == 1 else (0.2, 1.1)
+        scan = cone_scan(params, x_max, t_grid, tolerance=tolerance)
+        assert scan.values.tobytes() == _per_slice_cone(params, x_max, t_grid, tolerance).tobytes()
+
+
+# The cone scan as one evolved Field per time slice, read at the probes
+# through Field._values_at; the scan must reproduce it bit for bit.
+def _per_slice_cone(params, x_max, t_grid, tolerance):
+    d = params.dimension
+    sites = ball_sites(d, x_max)
+    rows = []
+    for t in t_grid:
+        delta = Field.delta(LatticeGeometry.infinite(d), (0,) * d)
+        val = apply_propagator_convolution(delta, params, t, tolerance=tolerance)._values_at(sites)
+        against_real = 1.0 - np.exp(-1.0j * val.imag)
+        against_imag = 1.0 - np.exp(1.0j * val.real)
+        rows.append(
+            np.maximum(
+                np.hypot(against_real.real, against_real.imag),
+                np.hypot(against_imag.real, against_imag.imag),
+            )
+        )
+    return np.vstack(rows)
+
 
 class TestVelocityEstimation:
     def _synthetic(self, x_max, t_grid, front_of_t):
@@ -352,6 +385,41 @@ class TestSpotCheck:
         b = spot_check_certificate(CHAIN, cert, profile, trials=10, seed=42)
         assert a == b
 
+    @pytest.mark.parametrize("support_radius", [0, 4])
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_one_propagation_per_trial(self, d, seed, support_radius):
+        params = HarmonicParameters(omega=0.8, couplings=(1.0, 0.6)[:d])
+        profile = DecayProfile(d, epsilon=1.0, rate=1.0)
+        cert = derive_constants(params, 1.0, profile)
+        trials = 12 if d == 1 else 4
+        kwargs = dict(trials=trials, support_radius=support_radius, t_max=1.5, seed=seed)
+        got = spot_check_certificate(params, cert, profile, **kwargs)
+        assert got == _per_trial_spot_check(params, cert, profile, **kwargs)
+
+    def test_a_batch_of_trials_samples_each_grid_level_once(self, monkeypatch):
+        calls = []
+        real_samples = harmonic._kernel_samples
+
+        def counted(params, times, sites, points, ms):
+            calls.append((len(times), points))
+            return real_samples(params, times, sites, points, ms)
+
+        monkeypatch.setattr(harmonic, "_kernel_samples", counted)
+        profile = DecayProfile(1, epsilon=1.0, rate=1.0)
+        cert = derive_constants(CHAIN, 1.0, profile)
+        spot_check_certificate(CHAIN, cert, profile, trials=40, seed=3)
+        levels = [points for _, points in calls]
+        assert len(levels) == len(set(levels)) < 40
+        assert sum(n for n, points in calls if points == min(levels)) > 1
+
+    def test_t_max_zero_is_valid(self):
+        profile = DecayProfile(1, epsilon=1.0, rate=1.0)
+        cert = derive_constants(CHAIN, 1.0, profile)
+        kwargs = dict(trials=6, t_max=0.0, seed=4)
+        worst = spot_check_certificate(CHAIN, cert, profile, **kwargs)
+        assert worst == _per_trial_spot_check(CHAIN, cert, profile, support_radius=4, **kwargs)
+
     @pytest.mark.parametrize(
         "kwargs, named",
         [
@@ -360,6 +428,9 @@ class TestSpotCheck:
             ({"trials": True}, "trials"),
             ({"t_max": math.nan}, "t_max"),
             ({"t_max": math.inf}, "t_max"),
+            # numpy's bare "high - low < 0" and "range exceeds valid bounds"
+            ({"t_max": -1.0}, "t_max"),
+            ({"t_max": 1e308}, "t_max"),
         ],
     )
     def test_a_vacuous_or_non_finite_sample_is_a_named_error(self, kwargs, named):
@@ -367,3 +438,30 @@ class TestSpotCheck:
         cert = derive_constants(CHAIN, 1.0, profile)
         with pytest.raises(DomainError, match=named):
             spot_check_certificate(CHAIN, cert, profile, **kwargs)
+
+
+# The spot check as one propagation per trial: labels through the Field
+# constructor, T_t f as a whole evolved Field, and sigma through
+# symplectic_form; the batched check must reproduce it bit for bit.
+def _per_trial_spot_check(params, cert, profile, trials, support_radius, t_max, seed):
+    rng = np.random.default_rng(seed)
+    geometry = LatticeGeometry.infinite(params.dimension)
+    sites = ball_sites(params.dimension, support_radius)
+
+    def random_field():
+        picks = rng.choice(len(sites), size=min(3, len(sites)), replace=False)
+        entries = {}
+        for idx in picks:
+            entries[tuple(sites[int(idx)].tolist())] = complex(rng.normal(), rng.normal())
+        return Field(geometry, entries)
+
+    worst = 0.0
+    for _ in range(trials):
+        t = float(rng.uniform(-t_max, t_max))
+        f = random_field()
+        g = random_field()
+        moved = apply_propagator_convolution(f, params, t)
+        lhs = abs(symplectic_form(moved, g))
+        rhs = harmonic_bound_rhs(f, g, t, cert, profile)
+        worst = max(worst, lhs / rhs)
+    return worst

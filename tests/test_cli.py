@@ -184,17 +184,17 @@ class TestReportContent:
 
 class TestKernelReuse:
     def test_a_mu_grid_computes_the_kernels_of_each_time_once(self, tmp_path, monkeypatch):
-        times = []
-        real = bounds.compute_kernels
+        batches = []
+        real = bounds._kernel_batch
 
-        def counted(params, t, *args):
-            times.append(t)
-            return real(params, t, *args)
+        def counted(params, requests, *args):
+            batches.append([t for t, *_ in requests])
+            return real(params, requests, *args)
 
-        monkeypatch.setattr(bounds, "compute_kernels", counted)
+        monkeypatch.setattr(bounds, "_kernel_batch", counted)
         code, _ = run("bounds", tmp_path, extra={"mu": [0.5, 1.0, 2.0], "t": [0.25, 0.5, 1.0]})
         assert code == 0
-        assert times == [0.25, 0.5, 1.0]
+        assert batches == [[0.25, 0.5, 1.0]]
 
 
 class TestStateBuildsNoFieldPerTime:
@@ -377,6 +377,7 @@ class TestValidation:
             ("state", "invariance_tol", -1.0),
             ("fock-verify", "rel_tol", -1.0),
             ("bounds", "spot_trials", -3),
+            ("bounds", "spot_t_max", -1.0),
             ("state", "continuity_points", 1),
             ("state", "continuity_points", 0),
         ],
@@ -434,10 +435,10 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_quadrature_failure_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
-        def unconverged(*args, **kwargs):
-            raise QuadratureConvergenceError("kernel quadrature reached 1e-3")
+        def unconverged(params, requests, ms):
+            return [QuadratureConvergenceError("kernel quadrature reached 1e-3") for _ in requests]
 
-        monkeypatch.setattr(cli, "compute_kernels", unconverged)
+        monkeypatch.setattr(cli, "_kernel_batch", unconverged)
         code, out = run("kernel", tmp_path)
         assert code == 2
         assert not out.exists()
@@ -450,14 +451,17 @@ class TestExitCodes:
         # and m = -1 at t = 2.0.
         smallest = {0.5: 1, 1.0: -1, 2.0: -1, 3.0: None}
 
-        def unconverged(params, t, window, quad, ms):
+        def outcome(params, t, window, quad, ms):
             m = smallest[t]
             if m is None:
                 return compute_kernels(params, t, window, quad, ms)
             best = compute_kernels(params, t, window, quad, (m,))[m]
-            raise QuadratureConvergenceError(f"m = {m} at t = {t}", best=best)
+            return QuadratureConvergenceError(f"m = {m} at t = {t}", best=best)
 
-        monkeypatch.setattr(cli, "compute_kernels", unconverged)
+        def unconverged(params, requests, ms):
+            return [outcome(params, t, window, quad, ms) for t, window, quad in requests]
+
+        monkeypatch.setattr(cli, "_kernel_batch", unconverged)
         code, out = run("kernel", tmp_path, extra={"t": [0.5, 1.0, 2.0, 3.0]})
         assert code == 2
         assert not out.exists()
@@ -617,6 +621,16 @@ class TestSeededSpotCheck:
         assert code == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_a_spot_t_max_whose_range_overflows_is_a_config_error(self, tmp_path, capsys):
+        # numpy once refused it mid-run with "high - low range exceeds valid bounds"
+        code, out = run("bounds", tmp_path, extra={"spot_trials": 3, "spot_t_max": 1e308})
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("config error: spot_t_max:")
+        code, out = run("bounds", tmp_path, extra={"spot_trials": 3, "spot_t_max": 0.0})
+        assert code == 0
+        assert json.loads(out.read_text())["spot_check_ratio"] < 1.0
 
 
 class _ReadRecorder(dict):

@@ -457,11 +457,170 @@ class TestSlabbedKernelSamples:
         monkeypatch.setattr(harmonic, "SLAB_NODES", (rows or points) * points ** (d - 1))
         params = HarmonicParameters(omega=omega, couplings=(1.0, 0.8, 1.2)[:d])
         sites = harmonic.ball_sites(d, window)
-        got = harmonic._kernel_samples(params, t, sites, points, ms)
+        got = harmonic._kernel_samples(params, (t,), sites, points, ms)
         expected = _full_ifftn_samples(params, t, sites, points, ms)
         assert list(got) == list(expected)
         for m in ms:
-            assert got[m].tobytes() == expected[m].tobytes()
+            assert got[m].shape == (1, len(sites))
+            assert got[m][0].tobytes() == expected[m].tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 3, None], ids=["1-row", "3-rows", "one-slab"])
+    @pytest.mark.parametrize("d, points, window", [(1, 16, 7), (2, 16, 7), (3, 16, 5)])
+    def test_a_stack_of_times_matches_each_time_alone(self, rows, d, points, window, monkeypatch):
+        # The slab size counts the nodes of all three times, so the stacked
+        # walk takes more, shorter slabs than each time does alone.
+        params = HarmonicParameters(omega=0.4, couplings=(1.0, 0.8, 1.2)[:d])
+        sites = harmonic.ball_sites(d, window)
+        times = (0.9, 0.0, -1.7)
+        monkeypatch.setattr(harmonic, "SLAB_NODES", 3 * (rows or points) * points ** (d - 1))
+        got = harmonic._kernel_samples(params, times, sites, points, (-1, 0, 1))
+        for row, t in enumerate(times):
+            expected = _full_ifftn_samples(params, t, sites, points, (-1, 0, 1))
+            for m in (-1, 0, 1):
+                assert got[m][row].tobytes() == expected[m].tobytes()
+
+
+def _alone(params, t, window, quad, ms):
+    try:
+        return compute_kernels(params, t, window, quad, ms)
+    except (DomainError, QuadratureConvergenceError) as err:
+        return err
+
+
+def _assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        assert all(_same_kernel(got[m], want[m]) for m in want)
+        return
+    assert str(got) == str(want)
+    if isinstance(want, QuadratureConvergenceError):
+        assert (got.best is None) == (want.best is None)
+        assert want.best is None or _same_kernel(got.best, want.best)
+        assert list(got.kernels) == list(want.kernels)
+        assert all(_same_kernel(got.kernels[m], want.kernels[m]) for m in want.kernels)
+
+
+class TestKernelBatch:
+    """One batched quadrature gives every request what compute_kernels gives it alone."""
+
+    WINDOWS = {1: (9, 3, 14), 2: (5, 2, 7), 3: (3, 1, 2)}
+
+    def requests(self, d):
+        small, smaller, large = self.WINDOWS[d]
+        return [
+            (0.0, small, QuadratureSpec(16, 1e-9)),
+            (0.9, smaller, QuadratureSpec(8, 1e-7)),
+            (-0.9, large, QuadratureSpec(16, 1e-9)),
+            (2.5, small, QuadratureSpec(8, 1e-11)),
+            (-0.4, smaller, QuadratureSpec(10, 1e-6)),
+            (0.9, smaller, QuadratureSpec(8, 1e-7)),
+        ]
+
+    @pytest.mark.parametrize(
+        "slab_nodes, stack_nodes",
+        [(None, None), (2**6, None), (2**6, 2**6)],
+        ids=["default", "stacks-cross-slabs", "small-stacks"],
+    )
+    @pytest.mark.parametrize("ms", [(-1, 0, 1), (0,), (1, -1)])
+    @pytest.mark.parametrize("omega", [0.0, 1.3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_one_request_at_a_time_bit_for_bit(
+        self, d, omega, ms, slab_nodes, stack_nodes, monkeypatch
+    ):
+        params = HarmonicParameters(omega=omega, couplings=(1.0, 0.8, 1.2)[:d])
+        requests = self.requests(d)
+        alone = [_alone(params, t, window, quad, ms) for t, window, quad in requests]
+        calls = []
+        real_samples = harmonic._kernel_samples
+
+        def counted(params, times, sites, points, ms):
+            calls.append((len(times), points))
+            return real_samples(params, times, sites, points, ms)
+
+        monkeypatch.setattr(harmonic, "_kernel_samples", counted)
+        if slab_nodes:
+            monkeypatch.setattr(harmonic, "SLAB_NODES", slab_nodes)
+        if stack_nodes:
+            monkeypatch.setattr(harmonic, "_STACK_NODES", stack_nodes)
+        got = list(harmonic._kernel_batch(params, requests, ms))
+        assert len(got) == len(requests)
+        for outcome, expected in zip(got, alone):
+            _assert_same_outcome(outcome, expected)
+        # A stack holds at most _STACK_NODES nodes; a larger grid goes alone.
+        assert all(n == 1 or n * points**d <= harmonic._STACK_NODES for n, points in calls)
+        levels = {points for _, points in calls}
+        if d == 1 and stack_nodes is None:
+            assert len(calls) == len(levels)
+        if stack_nodes:
+            assert len(calls) > len(levels)
+        if d > 1 and slab_nodes and stack_nodes is None:
+            # some stack of several requests is walked in more than one slab
+            assert any(n > 1 and n * points**d > slab_nodes for n, points in calls)
+
+    def test_requests_are_sampled_a_run_at_a_time(self, monkeypatch):
+        # Windows of 9 have boxes of 19 sites, so with _STACK_NODES = 64 the
+        # requests go in runs of three, and the first outcome is ready once
+        # the first run is done.
+        quad = QuadratureSpec(16, 1e-9)
+        requests = [(0.2 * k - 0.8, 9, quad) for k in range(9)]
+        alone = [_alone(CHAIN, t, window, q, (-1, 0, 1)) for t, window, q in requests]
+        calls = []
+        real_samples = harmonic._kernel_samples
+
+        def counted(params, times, sites, points, ms):
+            calls.append(len(times))
+            return real_samples(params, times, sites, points, ms)
+
+        monkeypatch.setattr(harmonic, "_kernel_samples", counted)
+        monkeypatch.setattr(harmonic, "_STACK_NODES", 64)
+        outcomes = harmonic._kernel_batch(CHAIN, requests)
+        _assert_same_outcome(next(outcomes), alone[0])
+        assert calls[:2] == [2, 1]  # three requests at the first level, 32 points
+        # Each of the first three was sampled on 32, 64, ... up to its finest grid.
+        finest = [max(k.points_per_axis for k in kernels.values()) for kernels in alone[:3]]
+        assert sum(calls) == sum(int(math.log2(p // 16)) for p in finest)
+        for outcome, expected in zip(outcomes, alone[1:]):
+            _assert_same_outcome(outcome, expected)
+
+    def test_a_stalled_request_carries_what_it_raises_alone(self):
+        quad, stalled = QuadratureSpec(16, 1e-9), QuadratureSpec(16, 1e-300)
+        requests = [(0.5, 6, quad), (0.5, 4, stalled), (-1.1, 8, quad)]
+        got = list(harmonic._kernel_batch(CHAIN, requests))
+        for outcome, (t, window, q) in zip(got, requests):
+            _assert_same_outcome(outcome, _alone(CHAIN, t, window, q, (-1, 0, 1)))
+        assert isinstance(got[1], QuadratureConvergenceError)
+        assert got[1].best.points_per_axis == 16 * 2**MAX_REFINEMENTS
+        assert isinstance(got[0], dict) and isinstance(got[2], dict)
+
+    def test_failures_come_back_in_request_order(self):
+        # window 64 in d = 3 is past the grid cap; a NaN time and a bad index
+        # fail before any grid, as they do alone
+        cube = HarmonicParameters(omega=1.0, couplings=(1.0, 1.0, 1.0))
+        quad = QuadratureSpec(8, 1e-6)
+        requests = [(0.5, 1, quad), (0.5, 64, quad), (math.nan, 1, quad), (0.2, 2, quad)]
+        got = list(harmonic._kernel_batch(cube, requests))
+        assert [type(outcome) for outcome in got] == [
+            dict, QuadratureConvergenceError, DomainError, dict
+        ]
+        assert got[1].best is None and "no refinement fits under the cap" in str(got[1])
+        for outcome, (t, window, q) in zip(got, requests):
+            _assert_same_outcome(outcome, _alone(cube, t, window, q, (-1, 0, 1)))
+        (bad,) = harmonic._kernel_batch(cube, [(0.5, 1, quad)], ms=(0, 2))
+        assert isinstance(bad, DomainError) and "must be -1, 0, or 1" in str(bad)
+
+    def test_the_propagator_raises_the_first_failure_in_request_order(self):
+        # the capped quadrature of the second request comes before the third
+        # request's failed certification
+        cube = HarmonicParameters(omega=1.0, couplings=(1.0, 1.0, 1.0))
+        delta = Field.delta(LatticeGeometry.infinite(3), (0, 0, 0))
+        origin = np.zeros((1, 3), dtype=np.int64)
+        requests = [(delta, t, 1e-10, origin) for t in (0.0, 9.0, math.nan)]
+        outcomes = harmonic._propagated_at(cube, requests)
+        sites, values = next(outcomes)
+        assert sites is origin and values.tolist() == [1.0]
+        with pytest.raises(QuadratureConvergenceError, match="no refinement fits under the cap"):
+            next(outcomes)
 
 
 class TestEnvelopes:
@@ -693,7 +852,56 @@ class TestMasslessZeroMode:
         assert moved.value((0,)).real == pytest.approx(scipy.special.jv(0, 4.0), abs=1e-9)
 
 
+# The box accumulation: every kernel scattered into a (2K + 1)^d box and each
+# label site's two terms added over the whole output box.  The propagator
+# reads only the sites it returns, and must reproduce it bit for bit.
+def _box_convolution(field, params, t, tolerance=1e-10):
+    l1 = field.norm_l1()
+    window = certified_window(params, t, tolerance / 2.0, l1)
+    spread = field.support_radius()
+    out_radius, ker_radius = window + spread, window + 2 * spread
+    ker_tol = min(1e-10, tolerance / (6.0 * max(l1, 1.0)))
+    kernels = compute_kernels(params, t, ker_radius, QuadratureSpec(refinement_tolerance=ker_tol))
+    boxes = {}
+    for m, kernel in kernels.items():
+        boxes[m] = np.zeros((2 * ker_radius + 1,) * params.dimension)
+        boxes[m][tuple((kernel.sites + ker_radius).T)] = kernel.samples
+    ker_a = boxes[0] - 0.5j * (boxes[-1] + boxes[1])
+    ker_b = 0.5j * (boxes[1] - boxes[-1])
+    out = np.zeros((2 * out_radius + 1,) * params.dimension, dtype=complex)
+    for site, val in field.items_sorted():
+        lo = [ker_radius - out_radius - c for c in site]
+        sl = tuple(slice(o, o + 2 * out_radius + 1) for o in lo)
+        out += val * ker_a[sl]
+        out += val.conjugate() * ker_b[sl]
+    sites = harmonic.ball_sites(params.dimension, out_radius)
+    return Field._from_arrays(field.geometry, sites, out[tuple((sites + out_radius).T)])
+
+
 class TestConvolutionPropagator:
+    @pytest.mark.parametrize("tolerance", [1e-10, 1e-6])
+    @pytest.mark.parametrize("omega", [0.0, 0.9])
+    @pytest.mark.parametrize(
+        "d, t", [(1, 0.0), (1, 0.7), (1, -1.6), (2, 0.0), (2, 0.7), (2, -1.6), (3, 0.0), (3, -0.3)]
+    )
+    def test_matches_the_box_accumulation_bit_for_bit(self, d, t, omega, tolerance):
+        params = HarmonicParameters(omega=omega, couplings=(1.0, 0.8, 1.2)[:d])
+        geo = LatticeGeometry.infinite(d)
+        rng = np.random.default_rng(d)
+        sites = harmonic.ball_sites(d, 2)
+        picks = rng.choice(len(sites), size=4, replace=False)
+        f = Field(geo, {tuple(sites[i].tolist()): complex(*rng.normal(size=2)) for i in picks})
+        got, want = apply_propagator_convolution(f, params, t, tolerance), _box_convolution(
+            f, params, t, tolerance
+        )
+        assert got._sites.tobytes() == want._sites.tobytes()
+        assert got._values.tobytes() == want._values.tobytes()
+        # Sites read one by one, in and out of the output ball, get the same bits.
+        probes = np.concatenate([want._sites[::-7], want._sites[:3] * 40])
+        ((at, values),) = harmonic._propagated_at(params, [(f, t, tolerance, probes)])
+        assert at is probes
+        assert values.tobytes() == want._values_at(probes).tobytes()
+
     def test_tolerance_controls_truncation(self):
         geo = LatticeGeometry.infinite(1)
         f = Field.delta(geo, (0,), 2.0)
